@@ -198,10 +198,10 @@ fn run_regime(name: &'static str, config: &Config, mode: WriterMode) -> Regime {
                         ))
                         .unwrap();
                         let delta = db.plan_dml(&stmt, &overlay).unwrap();
-                        overlay.apply_delta(&delta);
+                        overlay.apply_delta(delta);
                         next += 1;
                     }
-                    db.stage_overlay(&overlay).unwrap();
+                    db.stage_overlay(overlay).unwrap();
                     let (_, touched_list) = db.normalize_events_touched().unwrap();
                     let touched = TouchedEvents::from_list(&touched_list);
                     let mut stats = tintin::CheckStats::default();

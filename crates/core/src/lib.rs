@@ -1246,11 +1246,16 @@ fn events_as_overlay(db: &Database, touched: &TouchedEvents) -> TxOverlay {
             continue;
         };
         let delta = overlay.delta_mut(table);
+        if let Some(base) = db.table(table) {
+            // Mirror the base table's indexes, so the fallback's probes
+            // find the staged insertions by key.
+            delta.index_keys(base.indexes().iter().map(|ix| ix.columns.clone()).collect());
+        }
         for (_, row) in evt.scan() {
             if is_ins {
-                delta.ins.push(row.clone());
+                delta.push_ins(row.clone());
             } else {
-                delta.del.push(row.clone());
+                delta.push_del(row.clone());
             }
         }
     }

@@ -14,13 +14,13 @@
 
 use crate::error::{EngineError, Result};
 use crate::hash::{FxHashMap, FxHashSet};
-use crate::overlay::{DmlDelta, TableDelta, TxOverlay};
+use crate::overlay::{hash_values, DmlDelta, SlotIndex, TableDelta, TxOverlay};
 use crate::prepared::PreparedQuery;
 use crate::query::{self};
 use crate::query::{compile_query, CompiledQuery, ExecCtx};
 use crate::result::ResultSet;
 use crate::schema::TableSchema;
-use crate::table::{RowId, Table, TS_LATEST};
+use crate::table::{HashIndex, RowId, Table, TS_LATEST};
 use crate::value::{Row, Truth, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tintin_sql as sql;
@@ -189,6 +189,24 @@ impl NormalizationReport {
     pub fn total(&self) -> usize {
         self.dup_ins + self.dup_del + self.missing_del + 2 * self.cancelled + self.noop_ins
     }
+}
+
+/// What one [`Database::apply_pending_versioned_for`] did to the base
+/// tables: the handle [`Database::unapply_pending_versioned`] needs to
+/// withdraw exactly that, without searching the tables for it.
+#[derive(Debug, Default)]
+pub struct AppliedVersions {
+    tables: Vec<AppliedTable>,
+}
+
+#[derive(Debug)]
+struct AppliedTable {
+    table: String,
+    /// Versions stamped dead (the last `stamped` entries of the table's
+    /// dead list).
+    stamped: usize,
+    /// Versions created.
+    inserted: Vec<RowId>,
 }
 
 /// Row-version bookkeeping across a database: live/dead version counts and
@@ -749,13 +767,13 @@ impl Database {
             // 1. Dedupe within each event table.
             for (evt, counter) in [(&ins_name, 0usize), (&del_name, 1usize)] {
                 let t = self.tables.get_mut(evt).expect("event table exists");
-                let mut seen: FxHashSet<Row> = FxHashSet::default();
-                let mut drop_ids = Vec::new();
-                for (id, row) in t.scan() {
-                    if !seen.insert(row.clone()) {
-                        drop_ids.push(id);
-                    }
-                }
+                let drop_ids: Vec<RowId> = {
+                    let mut seen: FxHashSet<&Row> = FxHashSet::default();
+                    t.scan()
+                        .filter(|(_, row)| !seen.insert(row))
+                        .map(|(id, _)| id)
+                        .collect()
+                };
                 for id in &drop_ids {
                     t.delete_row(*id);
                 }
@@ -1016,7 +1034,8 @@ impl Database {
     /// touched base table, as `(table, inserted rows, deleted rows)` — the
     /// exact `ins_T`/`del_T` contents the incremental check validated.
     /// Read between [`Database::normalize_events_touched`] and
-    /// [`Database::truncate_events_for`]; this is what the write-ahead log
+    /// [`Database::apply_pending_versioned_for`] (which moves the insertion
+    /// events into the base tables); this is what the write-ahead log
     /// records, so recovery replays precisely what was checked.
     pub fn staged_effects_for(
         &self,
@@ -1075,13 +1094,12 @@ impl Database {
             let Some(t) = self.tables.get(&table) else {
                 return Err(EngineError::NoSuchTable(table.clone()));
             };
-            for row in &delta.del {
+            for row in delta.del_rows() {
                 // The planned deletion must still have a live identical
                 // target — and one that predates the snapshot: an identical
                 // row re-inserted by a later committer is not the row this
                 // transaction decided to delete.
-                let ids = t.find_identical_all(row);
-                if ids.is_empty() {
+                if t.find_identical(row).is_none() {
                     return conflict(
                         &table,
                         "a row this transaction deletes was removed or updated \
@@ -1098,10 +1116,12 @@ impl Database {
                     );
                 }
             }
-            for row in &delta.ins {
+            for row in delta.ins_rows() {
                 for ix in t.indexes().iter().filter(|ix| ix.unique) {
-                    let Some(key) = ix.key_of(row) else { continue };
-                    for &id in ix.probe(&key) {
+                    let Some(ids) = ix.probe_row(row) else {
+                        continue;
+                    };
+                    for &id in ids {
                         let Some(base) = t.get(id) else { continue };
                         // Rows this transaction itself deletes free their
                         // keys; identical rows visible at the snapshot were
@@ -1109,25 +1129,30 @@ impl Database {
                         if delta.hides(base) {
                             continue;
                         }
-                        if t.get_at(id, snapshot).is_some() && base.as_ref() != row.as_ref() {
-                            // Visible at plan time and not identical: the
-                            // statement-time unique check should have caught
-                            // this; surface it as the constraint error.
-                            return Err(EngineError::UniqueViolation {
-                                table: table.clone(),
-                                index: ix.name.clone(),
-                                key: crate::table::format_key(&key),
-                            });
-                        }
+                        let key = || {
+                            crate::table::format_key(
+                                &ix.key_of(row).expect("probed key is non-NULL"),
+                            )
+                        };
                         if t.get_at(id, snapshot).is_none() {
                             return conflict(
                                 &table,
                                 format!(
                                     "key {} was inserted by a concurrent commit \
                                      after this transaction began",
-                                    crate::table::format_key(&key)
+                                    key()
                                 ),
                             );
+                        }
+                        if base.as_ref() != row.as_ref() {
+                            // Visible at plan time and not identical: the
+                            // statement-time unique check should have caught
+                            // this; surface it as the constraint error.
+                            return Err(EngineError::UniqueViolation {
+                                table: table.clone(),
+                                index: ix.name.clone(),
+                                key: key(),
+                            });
                         }
                     }
                 }
@@ -1143,58 +1168,90 @@ impl Database {
     /// pre-commit state; the new state becomes visible when the caller
     /// publishes `ts` ([`Database::publish_commit`]).
     ///
+    /// The insertion events are *moved* into the base tables — afterwards
+    /// the touched `ins_T` tables are empty (the `del_T` tables are left for
+    /// [`Database::truncate_events_for`]). A caller that needs the staged
+    /// effects ([`Database::staged_effects_for`]) reads them first.
+    ///
     /// On failure the partial apply is compensated by un-stamping — no undo
     /// log needed, since `ts` is not yet published and thus unobservable.
-    pub fn apply_pending_versioned_for(&mut self, touched: &[TouchedTable], ts: u64) -> Result<()> {
-        let result = (|| -> Result<()> {
-            for (_, _, base_name) in touched.iter().filter(|(_, has_del, _)| *has_del) {
-                let del_rows: Vec<Row> = self.tables[&del_table_name(base_name)]
-                    .scan()
-                    .map(|(_, r)| r.clone())
-                    .collect();
-                let base = self.tables.get_mut(base_name).unwrap();
-                for row in del_rows {
-                    for id in base.find_identical_all(&row) {
-                        base.delete_row_at(id, ts);
-                    }
-                }
+    /// On success the returned [`AppliedVersions`] lets the caller do the
+    /// same ([`Database::unapply_pending_versioned`]) should a step
+    /// *between* apply and publish fail.
+    pub fn apply_pending_versioned_for(
+        &mut self,
+        touched: &[TouchedTable],
+        ts: u64,
+    ) -> Result<AppliedVersions> {
+        let mut applied = AppliedVersions::default();
+        match self.apply_versions(touched, ts, &mut applied) {
+            Ok(()) => Ok(applied),
+            Err(e) => {
+                self.unapply_pending_versioned(applied);
+                Err(e)
             }
-            for (_, _, base_name) in touched.iter().filter(|(has_ins, _, _)| *has_ins) {
-                let ins_rows: Vec<Row> = self.tables[&ins_table_name(base_name)]
-                    .scan()
-                    .map(|(_, r)| r.clone())
-                    .collect();
-                let base = self.tables.get_mut(base_name).unwrap();
-                for row in ins_rows {
-                    base.insert_at(row.into_vec(), ts)?;
-                }
+        }
+    }
+
+    fn apply_versions(
+        &mut self,
+        touched: &[TouchedTable],
+        ts: u64,
+        applied: &mut AppliedVersions,
+    ) -> Result<()> {
+        let mut buf = String::new();
+        let mut ids: Vec<RowId> = Vec::new();
+        for (_, _, base_name) in touched.iter().filter(|(_, has_del, _)| *has_del) {
+            let base = &self.tables[base_name];
+            let del = event_table(&self.tables, &mut buf, "del_", base_name)
+                .expect("capture implies event table");
+            ids.clear();
+            for (_, row) in del.scan() {
+                base.find_identical_all(row, &mut ids);
             }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            self.unapply_version(touched, ts);
-            return Err(e);
+            let base = self.tables.get_mut(base_name).expect("looked up above");
+            let stamped = ids.iter().filter(|&&id| base.delete_row_at(id, ts)).count();
+            applied.tables.push(AppliedTable {
+                table: base_name.clone(),
+                stamped,
+                inserted: Vec::new(),
+            });
+        }
+        for (_, _, base_name) in touched.iter().filter(|(has_ins, _, _)| *has_ins) {
+            let rows = self
+                .tables
+                .get_mut(&ins_table_name(base_name))
+                .expect("capture implies event table")
+                .take_rows();
+            applied.tables.push(AppliedTable {
+                table: base_name.clone(),
+                stamped: 0,
+                inserted: Vec::with_capacity(rows.len()),
+            });
+            let inserted = &mut applied.tables.last_mut().expect("just pushed").inserted;
+            let base = self.tables.get_mut(base_name).expect("touched base table");
+            for row in rows {
+                inserted.push(base.insert_row_at(row, ts)?);
+            }
         }
         Ok(())
     }
 
-    /// Withdraw a successful-but-unpublishable
-    /// [`Database::apply_pending_versioned_for`] — the compensation a
-    /// caller needs when a step *between* apply and publish fails (e.g. the
-    /// durable session layer's write-ahead log append). Same contract as
-    /// the internal compensation: only valid while `ts` is unpublished.
-    pub fn unapply_pending_versioned_for(&mut self, touched: &[TouchedTable], ts: u64) {
-        self.unapply_version(touched, ts);
-    }
-
-    /// Compensate a failed [`Database::apply_pending_versioned_for`]:
-    /// versions stamped dead at `ts` come back to life, versions begun at
-    /// `ts` are removed. Only valid while `ts` is unpublished.
-    fn unapply_version(&mut self, touched: &[TouchedTable], ts: u64) {
-        for (_, _, base_name) in touched {
-            if let Some(t) = self.tables.get_mut(base_name) {
-                t.unstamp_end(ts);
-                t.remove_begun_at(ts);
+    /// Withdraw a [`Database::apply_pending_versioned_for`]: versions it
+    /// stamped dead come back to life, versions it created are removed.
+    /// O(update) — it visits exactly the versions the apply touched. Only
+    /// valid while the apply's timestamp is unpublished, and before any
+    /// other versioned apply.
+    pub fn unapply_pending_versioned(&mut self, applied: AppliedVersions) {
+        for AppliedTable {
+            table,
+            stamped,
+            inserted,
+        } in applied.tables
+        {
+            if let Some(t) = self.tables.get_mut(&table) {
+                t.unstamp_last(stamped);
+                t.remove_versions(inserted);
             }
         }
     }
@@ -1216,10 +1273,12 @@ impl Database {
     /// Commit-piggybacked garbage collection: prune dead versions of the
     /// tables a commit touched, but only once a table has accumulated at
     /// least [`Database::GC_DEAD_THRESHOLD`] of them **and** the horizon
-    /// can actually free something ([`Table::has_prunable`]) — commits on a
-    /// quiet table stay O(update), and a horizon pinned by a long-lived
-    /// snapshot cannot trigger a futile full-table sweep on every commit.
-    /// Returns versions pruned (0 when nothing qualified).
+    /// can actually free something ([`Table::has_prunable`]). A pass walks
+    /// the table's dead versions, not the table ([`Table::gc`]), so the
+    /// threshold batches the work rather than bounding a sweep, and a
+    /// horizon pinned by a long-lived snapshot cannot trigger a futile pass
+    /// on every commit. Returns versions pruned (0 when nothing
+    /// qualified).
     pub fn maybe_gc_for(&mut self, touched: &[TouchedTable], horizon: u64) -> usize {
         let mut pruned = 0;
         let mut ran = false;
@@ -1595,20 +1654,20 @@ impl Database {
                 // The row is only cloned when a transaction needs it for
                 // the undo log; otherwise it moves straight into storage.
                 if let Some(tx) = tx.as_mut() {
-                    let id = evt.insert(row.to_vec())?;
+                    let id = evt.insert_row_at(row.clone(), 0)?;
                     tx.log_ins(&evt_name, id, row);
                 } else {
-                    evt.insert(row.into_vec())?;
+                    evt.insert_row_at(row, 0)?;
                 }
             }
         } else {
             let t = tables.get_mut(table).unwrap();
             for row in validated {
                 if let Some(tx) = tx.as_mut() {
-                    let id = t.insert(row.to_vec())?;
+                    let id = t.insert_row_at(row.clone(), 0)?;
                     tx.log_ins(table, id, row);
                 } else {
-                    t.insert(row.into_vec())?;
+                    t.insert_row_at(row, 0)?;
                 }
             }
         }
@@ -1643,8 +1702,7 @@ impl Database {
                     // Index-accelerate keyed deletes: collect `col = const`
                     // conjuncts and probe the best covering index; the full
                     // predicate is still evaluated on the candidates.
-                    let candidates: Option<Vec<RowId>> =
-                        delete_probe_candidates(t, &binding, pred, self)?;
+                    let candidates = key_probe(t, &binding, pred, self)?.live_candidates(t);
                     let mut ctx = ExecCtx::new(self);
                     let mut hits = Vec::new();
                     match candidates {
@@ -1731,7 +1789,7 @@ impl Database {
                 None => t.scan().map(|(id, r)| (id, r.clone())).collect(),
                 Some(pred) => {
                     let compiled = query::compile_row_predicate(self, &upd.table, &binding, pred)?;
-                    let candidates = delete_probe_candidates(t, &binding, pred, self)?;
+                    let candidates = key_probe(t, &binding, pred, self)?.live_candidates(t);
                     let mut ctx = ExecCtx::new(self);
                     let mut hits = Vec::new();
                     let ids: Vec<RowId> = match candidates {
@@ -1888,7 +1946,7 @@ impl Database {
         overlay: &TxOverlay,
         snapshot: u64,
     ) -> Result<DmlDelta> {
-        let delta = match stmt {
+        let mut delta = match stmt {
             sql::Statement::Insert(ins) => {
                 let rows = self.insert_source_rows(ins, Some(overlay), snapshot)?;
                 DmlDelta {
@@ -1906,132 +1964,40 @@ impl Database {
                 )))
             }
         };
-        let delta = self.drop_noop_inserts(delta, overlay, snapshot);
+        let Some(t) = self.tables.get(&delta.table) else {
+            // A vanished table surfaces at stage time.
+            return Ok(delta);
+        };
+        delta.index_columns = t.indexes().iter().map(|ix| ix.columns.clone()).collect();
+        // The state this statement's new rows must fit into: the snapshot
+        // composed with the overlay as this statement leaves it. It is
+        // consulted through the overlay's indexes plus the statement's own
+        // (small) effect — never built.
+        let view = StatementView {
+            table: t,
+            snapshot,
+            overlay: overlay.delta(&delta.table),
+            retracted: count_rows(&delta.retract_ins),
+            deleted: delta.del.iter().map(|r| r.as_ref()).collect(),
+        };
+        let mut keep = view.non_noop_inserts(&delta.ins).into_iter();
+        delta.ins.retain(|_| keep.next().expect("one flag per row"));
         // Validate uniqueness of the would-be pending state now, at
         // statement time, so a key conflict reads like any other constraint
         // error instead of surfacing as an opaque engine failure at COMMIT —
         // and so the transaction never *observes* duplicate-key state. Only
         // this statement's new rows need checking: earlier pending rows
         // were validated by the statements that proposed them.
-        let mut candidate = overlay.delta(&delta.table).cloned().unwrap_or_default();
-        candidate.merge(&delta);
-        self.check_visible_unique(&delta.table, &delta.ins, &candidate, snapshot)?;
+        view.check_unique(&delta.ins)?;
         Ok(delta)
-    }
-
-    /// Apply set semantics at plan time: drop planned insertions identical
-    /// to a row the transaction already observes (a surviving base row, a
-    /// pending insertion, or an earlier row of this same statement). These
-    /// are exactly the no-ops commit-time normalization would drop — and
-    /// dropping them now keeps read-your-writes free of duplicate rows, so
-    /// what the transaction sees is what commit produces.
-    fn drop_noop_inserts(
-        &self,
-        mut delta: DmlDelta,
-        overlay: &TxOverlay,
-        snapshot: u64,
-    ) -> DmlDelta {
-        if delta.ins.is_empty() {
-            return delta;
-        }
-        let Some(t) = self.tables.get(&delta.table) else {
-            // Event-table targets are raw event staging; normalization owns
-            // their set semantics at commit.
-            return delta;
-        };
-        // Pending insertions as they will stand after this statement's
-        // retractions.
-        let mut pending: Vec<&Row> = overlay
-            .delta(&delta.table)
-            .map(|d| d.ins.iter().collect())
-            .unwrap_or_default();
-        for row in &delta.retract_ins {
-            if let Some(i) = pending.iter().position(|x| **x == *row) {
-                pending.remove(i);
-            }
-        }
-        let hidden = |row: &Row| {
-            delta.del.iter().any(|r| r == row)
-                || overlay.delta(&delta.table).is_some_and(|d| d.hides(row))
-        };
-        let mut kept: Vec<Row> = Vec::with_capacity(delta.ins.len());
-        for row in std::mem::take(&mut delta.ins) {
-            if pending.iter().any(|x| **x == row) || kept.contains(&row) {
-                continue; // duplicate pending copy
-            }
-            if t.find_identical_at(&row, snapshot).is_some() && !hidden(&row) {
-                continue; // identical to a surviving snapshot-visible row
-            }
-            kept.push(row);
-        }
-        delta.ins = kept;
-        delta
-    }
-
-    /// Reject `new_rows` (a statement's freshly planned insertions) that
-    /// would violate a unique constraint at apply time, checked against
-    /// the transaction's visible state (`candidate` is the overlay as it
-    /// will stand after the statement). A pending row *identical* to a
-    /// visible one is allowed — that is the set-semantics no-op
-    /// normalization drops — but a row sharing a unique key with a
-    /// *different* visible row fails immediately. Cost is
-    /// O(new × pending) per statement, not O(pending²): rows proposed by
-    /// earlier statements were validated when they were planned.
-    fn check_visible_unique(
-        &self,
-        table: &str,
-        new_rows: &[Row],
-        candidate: &TableDelta,
-        snapshot: u64,
-    ) -> Result<()> {
-        let Some(t) = self.tables.get(table) else {
-            // Event-table targets carry no unique indexes; a vanished base
-            // table surfaces later, at stage time.
-            return Ok(());
-        };
-        let unique_violation = |ix: &crate::table::HashIndex, key: &[Value]| {
-            Err(EngineError::UniqueViolation {
-                table: table.to_string(),
-                index: ix.name.clone(),
-                key: crate::table::format_key(key),
-            })
-        };
-        for row in new_rows {
-            for ix in t.indexes().iter().filter(|ix| ix.unique) {
-                // NULL-containing keys are exempt from uniqueness. Probes
-                // return version candidates; only snapshot-visible ones
-                // conflict (rows committed after the snapshot surface at
-                // COMMIT as serialization conflicts instead).
-                let Some(key) = ix.key_of(row) else { continue };
-                for &id in ix.probe(&key) {
-                    let Some(base) = t.get_at(id, snapshot) else {
-                        continue;
-                    };
-                    if candidate.hides(base) || base.as_ref() == row.as_ref() {
-                        continue;
-                    }
-                    return unique_violation(ix, &key);
-                }
-                for other in &candidate.ins {
-                    // `drop_noop_inserts` already removed identical copies,
-                    // so an identical row here is this row's own overlay
-                    // entry.
-                    if other.as_ref() == row.as_ref() {
-                        continue;
-                    }
-                    if ix.key_of(other).as_deref() == Some(&key[..]) {
-                        return unique_violation(ix, &key);
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Rows of `table` matching `pred` through `overlay`: surviving base
     /// rows (hidden-by-deletion rows excluded) and matching pending
     /// insertions, separately — the caller needs the provenance to decide
-    /// between a deletion event and a retraction.
+    /// between a deletion event and a retraction. A keyed predicate probes
+    /// both sides (the base table's index and the overlay's mirror of it),
+    /// so the cost follows the rows matched, not the rows pending.
     fn visible_matches(
         &self,
         table: &str,
@@ -2045,45 +2011,42 @@ impl Database {
             .get(table)
             .ok_or_else(|| EngineError::NoSuchTable(table.to_string()))?;
         let delta = overlay.delta(table);
+        let hidden = |row: &[Value]| delta.is_some_and(|d| d.hides(row));
+        let Some(pred) = pred else {
+            let base = t
+                .scan_at(snapshot)
+                .filter(|(_, row)| !hidden(row))
+                .map(|(_, row)| row.clone())
+                .collect();
+            let pending = delta.map_or_else(Vec::new, |d| d.ins_rows().cloned().collect());
+            return Ok((base, pending));
+        };
+        let binding = alias.cloned().unwrap_or_else(|| table.to_string());
+        let compiled = query::compile_row_predicate(self, table, &binding, pred)?;
+        let mut ctx = ExecCtx::with_overlay_at(self, overlay, snapshot);
+        let mut matching = |row, out: &mut Vec<Row>| push_if_true(&compiled, row, &mut ctx, out);
         let mut base = Vec::new();
         let mut pending = Vec::new();
-        match pred {
-            None => {
-                for (_, row) in t.scan_at(snapshot) {
-                    if delta.is_some_and(|d| d.hides(row)) {
-                        continue;
-                    }
-                    base.push(row.clone());
+        match key_probe(t, &binding, pred, self)? {
+            KeyProbe::Nothing => {}
+            KeyProbe::Scan => {
+                for (_, row) in t.scan_at(snapshot).filter(|(_, row)| !hidden(row)) {
+                    matching(row, &mut base)?;
                 }
-                if let Some(d) = delta {
-                    pending.extend(d.ins.iter().cloned());
+                for row in delta.into_iter().flat_map(|d| d.ins_rows()) {
+                    matching(row, &mut pending)?;
                 }
             }
-            Some(pred) => {
-                let binding = alias.cloned().unwrap_or_else(|| table.to_string());
-                let compiled = query::compile_row_predicate(self, table, &binding, pred)?;
-                let candidates = delete_probe_candidates(t, &binding, pred, self)?;
-                let mut ctx = ExecCtx::with_overlay_at(self, overlay, snapshot);
-                let ids: Vec<RowId> = match candidates {
-                    Some(ids) => ids,
-                    None => t.scan_at(snapshot).map(|(id, _)| id).collect(),
-                };
-                for id in ids {
-                    let Some(row) = t.get_at(id, snapshot) else {
-                        continue;
-                    };
-                    if delta.is_some_and(|d| d.hides(row)) {
-                        continue;
-                    }
-                    if query::eval_row_predicate(&compiled, row, &mut ctx)? == Truth::True {
-                        base.push(row.clone());
+            KeyProbe::Index(ix, key) => {
+                let ix = &t.indexes()[ix];
+                for &id in ix.probe(&key) {
+                    if let Some(row) = t.get_at(id, snapshot).filter(|row| !hidden(row)) {
+                        matching(row, &mut base)?;
                     }
                 }
                 if let Some(d) = delta {
-                    for row in &d.ins {
-                        if query::eval_row_predicate(&compiled, row, &mut ctx)? == Truth::True {
-                            pending.push(row.clone());
-                        }
+                    for row in d.pending_matching(&ix.columns, key.iter()) {
+                        matching(row, &mut pending)?;
                     }
                 }
             }
@@ -2108,16 +2071,10 @@ impl Database {
         // One deletion event removes one identical base row at apply time,
         // so extra identical matches collapse — exactly how event capture
         // deduplicates `del_T` rows.
-        let mut del_rows: Vec<Row> = Vec::new();
-        for row in base {
-            if !del_rows.contains(&row) {
-                del_rows.push(row);
-            }
-        }
         Ok(DmlDelta {
             table: del.table.clone(),
             rows_affected,
-            del: del_rows,
+            del: dedup_rows(base),
             retract_ins: pending,
             ..DmlDelta::default()
         })
@@ -2183,11 +2140,12 @@ impl Database {
             }
             if from_pending {
                 delta.retract_ins.push(old.clone());
-            } else if !delta.del.contains(old) {
+            } else {
                 delta.del.push(old.clone());
             }
             delta.ins.push(new);
         }
+        delta.del = dedup_rows(delta.del);
         self.check_row_constraints(&upd.table, &delta.ins, Some(overlay), snapshot)?;
         Ok(delta)
     }
@@ -2207,7 +2165,7 @@ impl Database {
     /// the single-owner / dry-run behaviour. The phased commit stages with
     /// [`Database::stage_overlay_at`] instead, so concurrent readers cannot
     /// observe the staging.
-    pub fn stage_overlay(&mut self, overlay: &TxOverlay) -> Result<()> {
+    pub fn stage_overlay(&mut self, overlay: TxOverlay) -> Result<()> {
         self.stage_overlay_at(overlay, 0)
     }
 
@@ -2222,21 +2180,26 @@ impl Database {
     /// by another session can never observe the in-flight staging. The
     /// committer's own check phase reads the event tables at
     /// [`TS_LATEST`], which sees every live version regardless of `begin`.
-    pub fn stage_overlay_at(&mut self, overlay: &TxOverlay, ts: u64) -> Result<()> {
-        for table in overlay.touched_tables() {
-            let delta = overlay.delta(&table).expect("touched implies delta");
+    ///
+    /// The overlay is consumed: its rows — validated when their statements
+    /// were planned — are moved into the event tables in proposal order,
+    /// neither copied nor re-coerced. A caller that keeps its overlay (a
+    /// dry run) stages a clone.
+    pub fn stage_overlay_at(&mut self, overlay: TxOverlay, ts: u64) -> Result<()> {
+        for (table, delta) in overlay.into_deltas() {
+            let (ins, del) = delta.into_rows();
             if self.is_event_table(&table) {
                 let t = self
                     .tables
                     .get_mut(&table)
                     .ok_or_else(|| EngineError::NoSuchTable(table.clone()))?;
-                for row in &delta.del {
+                for row in &del {
                     if let Some(id) = t.find_identical(row) {
                         t.delete_row(id);
                     }
                 }
-                for row in &delta.ins {
-                    t.insert_at(row.to_vec(), ts)?;
+                for row in ins {
+                    t.insert_row_at(row, ts)?;
                 }
                 continue;
             }
@@ -2256,16 +2219,16 @@ impl Database {
                 .tables
                 .get_mut(&ins_table_name(&table))
                 .expect("capture implies event table");
-            for row in &delta.ins {
-                ins_t.insert_at(row.to_vec(), ts)?;
+            for row in ins {
+                ins_t.insert_row_at(row, ts)?;
             }
             let del_t = self
                 .tables
                 .get_mut(&del_table_name(&table))
                 .expect("capture implies event table");
-            for row in &delta.del {
-                if del_t.find_identical(row).is_none() {
-                    del_t.insert_at(row.to_vec(), ts)?;
+            for row in del {
+                if del_t.find_identical(&row).is_none() {
+                    del_t.insert_row_at(row, ts)?;
                 }
             }
         }
@@ -2310,6 +2273,155 @@ impl Database {
     }
 }
 
+/// Append a copy of `row` to `out` if the row predicate holds for it.
+fn push_if_true<'a>(
+    pred: &query::CExpr,
+    row: &'a Row,
+    ctx: &mut ExecCtx<'a>,
+    out: &mut Vec<Row>,
+) -> Result<()> {
+    if query::eval_row_predicate(pred, row, ctx)? == Truth::True {
+        out.push(row.clone());
+    }
+    Ok(())
+}
+
+/// Drop repeated rows, keeping first occurrences in order.
+fn dedup_rows(mut rows: Vec<Row>) -> Vec<Row> {
+    if rows.len() > 1 {
+        let first: Vec<bool> = {
+            let mut seen: FxHashSet<&[Value]> = FxHashSet::default();
+            rows.iter().map(|row| seen.insert(row)).collect()
+        };
+        let mut first = first.into_iter();
+        rows.retain(|_| first.next().expect("one flag per row"));
+    }
+    rows
+}
+
+/// Count rows by identity.
+fn count_rows(rows: &[Row]) -> FxHashMap<&[Value], usize> {
+    let mut counts: FxHashMap<&[Value], usize> = FxHashMap::default();
+    for row in rows {
+        *counts.entry(row).or_default() += 1;
+    }
+    counts
+}
+
+/// The state one statement's planned insertions are validated against: the
+/// transaction's snapshot composed with its overlay *as the statement will
+/// leave it* (its retractions and deletions applied). Answered from the
+/// overlay's indexes and the statement's own effect, so validating a
+/// statement costs O(its rows) however much the transaction has pending.
+struct StatementView<'a> {
+    table: &'a Table,
+    snapshot: u64,
+    overlay: Option<&'a TableDelta>,
+    /// Pending insertions this statement retracts, counted by row.
+    retracted: FxHashMap<&'a [Value], usize>,
+    /// Base rows this statement deletes.
+    deleted: FxHashSet<&'a [Value]>,
+}
+
+impl StatementView<'_> {
+    /// Is the base row `row` deleted by the transaction (before or by this
+    /// statement)?
+    fn hides(&self, row: &[Value]) -> bool {
+        self.deleted.contains(row) || self.overlay.is_some_and(|d| d.hides(row))
+    }
+
+    /// Pending insertions identical to `row` that survive this statement's
+    /// retractions (which cancel one-for-one).
+    fn pending_copies(&self, row: &[Value]) -> usize {
+        self.overlay
+            .map_or(0, |d| d.pending_copies(row))
+            .saturating_sub(self.retracted.get(row).copied().unwrap_or(0))
+    }
+
+    /// Apply set semantics at plan time: flag (`false`) the planned
+    /// insertions identical to a row the transaction already observes (a
+    /// surviving base row, a pending insertion, or an earlier row of this
+    /// same statement). These are exactly the no-ops commit-time
+    /// normalization would drop — and dropping them now keeps
+    /// read-your-writes free of duplicate rows, so what the transaction
+    /// sees is what commit produces.
+    fn non_noop_inserts(&self, rows: &[Row]) -> Vec<bool> {
+        let mut kept: FxHashSet<&[Value]> = FxHashSet::default();
+        rows.iter()
+            .map(|row| {
+                let noop = self.pending_copies(row) > 0
+                    || kept.contains(row.as_ref())
+                    || (self.table.find_identical_at(row, self.snapshot).is_some()
+                        && !self.hides(row));
+                if !noop {
+                    kept.insert(row);
+                }
+                !noop
+            })
+            .collect()
+    }
+
+    /// Reject `new_rows` (the statement's planned insertions, no-ops
+    /// already dropped) that would violate a unique constraint at apply
+    /// time. A row sharing a unique key with a *different* visible row —
+    /// a surviving snapshot row, a surviving pending insertion, or another
+    /// row of the statement — fails immediately. NULL-containing keys are
+    /// exempt from uniqueness.
+    fn check_unique(&self, new_rows: &[Row]) -> Result<()> {
+        let t = self.table;
+        let unique: Vec<&HashIndex> = t.indexes().iter().filter(|ix| ix.unique).collect();
+        // The statement's own rows by key, per unique index (a single row
+        // cannot clash with itself).
+        let mut own_keys: Vec<SlotIndex> = Vec::new();
+        if new_rows.len() > 1 {
+            for ix in &unique {
+                let mut keys = SlotIndex::default();
+                for (i, row) in new_rows.iter().enumerate() {
+                    if ix.probe_row(row).is_some() {
+                        keys.insert(hash_values(ix.columns.iter().map(|&c| &row[c])), i as u64);
+                    }
+                }
+                own_keys.push(keys);
+            }
+        }
+        for (i, row) in new_rows.iter().enumerate() {
+            for (u, ix) in unique.iter().enumerate() {
+                // Probes return version candidates; only snapshot-visible
+                // ones conflict (rows committed after the snapshot surface
+                // at COMMIT as serialization conflicts instead).
+                let Some(ids) = ix.probe_row(row) else {
+                    continue;
+                };
+                let key = ix.columns.iter().map(|&c| &row[c]);
+                let clash = ids.iter().any(|&id| {
+                    t.get_at(id, self.snapshot)
+                        .is_some_and(|base| base.as_ref() != row.as_ref() && !self.hides(base))
+                }) || self.overlay.is_some_and(|d| {
+                    // An identical pending row can only be one this
+                    // statement retracts (no-ops were dropped).
+                    d.pending_matching(&ix.columns, key.clone())
+                        .into_iter()
+                        .any(|other| other != row && self.pending_copies(other) > 0)
+                }) || own_keys.get(u).is_some_and(|keys| {
+                    keys.get(hash_values(key.clone()))
+                        .iter()
+                        .any(|&j| j != i as u64 && ix.same_key(row, &new_rows[j as usize]))
+                });
+                if clash {
+                    return Err(EngineError::UniqueViolation {
+                        table: t.schema.name.clone(),
+                        index: ix.name.clone(),
+                        key: crate::table::format_key(
+                            &ix.key_of(row).expect("probed key is non-NULL"),
+                        ),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 fn format_row(row: &[Value]) -> String {
     row.iter()
         .map(|v| v.to_string())
@@ -2317,14 +2429,32 @@ fn format_row(row: &[Value]) -> String {
         .join(", ")
 }
 
-/// Candidate row ids for a DELETE predicate: probe the best index covered by
-/// top-level `col = constant` conjuncts, or `None` for a full scan.
-fn delete_probe_candidates(
-    t: &Table,
-    binding: &str,
-    pred: &sql::Expr,
-    db: &Database,
-) -> Result<Option<Vec<RowId>>> {
+/// How a `DELETE` / `UPDATE` predicate finds its candidate rows.
+enum KeyProbe {
+    /// No usable `col = constant` conjuncts: examine every row.
+    Scan,
+    /// The predicate cannot match (`col = NULL`, or a constant no stored
+    /// value of the column's type can equal).
+    Nothing,
+    /// Probe index number `.0` of the table with key `.1`; the full
+    /// predicate is still evaluated on the candidates.
+    Index(usize, Vec<Value>),
+}
+
+impl KeyProbe {
+    /// The live candidate ids in `t` (`None`: scan).
+    fn live_candidates(&self, t: &Table) -> Option<Vec<RowId>> {
+        match self {
+            KeyProbe::Scan => None,
+            KeyProbe::Nothing => Some(Vec::new()),
+            KeyProbe::Index(ix, key) => Some(t.indexes()[*ix].probe(key).to_vec()),
+        }
+    }
+}
+
+/// Plan the candidate lookup for a DELETE / UPDATE predicate: the best
+/// index covered by top-level `col = constant` conjuncts, if any.
+fn key_probe(t: &Table, binding: &str, pred: &sql::Expr, db: &Database) -> Result<KeyProbe> {
     let mut eq: Vec<(usize, Value)> = Vec::new();
     for conj in pred.conjuncts() {
         let sql::Expr::Binary {
@@ -2349,18 +2479,18 @@ fn delete_probe_candidates(
         let v = query::eval_const(db, &sql::Expr::Literal(lit.clone()))?;
         if v.is_null() {
             // `col = NULL` matches nothing.
-            return Ok(Some(Vec::new()));
+            return Ok(KeyProbe::Nothing);
         }
         if !eq.iter().any(|(p, _)| *p == pos) {
             eq.push((pos, v));
         }
     }
     if eq.is_empty() {
-        return Ok(None);
+        return Ok(KeyProbe::Scan);
     }
     let cols: Vec<usize> = eq.iter().map(|(p, _)| *p).collect();
     let Some(ix_id) = t.best_index(&cols) else {
-        return Ok(None);
+        return Ok(KeyProbe::Scan);
     };
     let ix = &t.indexes()[ix_id];
     let mut key = Vec::with_capacity(ix.columns.len());
@@ -2368,8 +2498,8 @@ fn delete_probe_candidates(
         let (_, v) = eq.iter().find(|(p, _)| p == c).expect("covered column");
         match v.clone().coerce_for_probe(t.schema.columns[*c].ty) {
             Ok(v) => key.push(v),
-            Err(_) => return Ok(Some(Vec::new())),
+            Err(_) => return Ok(KeyProbe::Nothing),
         }
     }
-    Ok(Some(ix.probe(&key).to_vec()))
+    Ok(KeyProbe::Index(ix_id, key))
 }

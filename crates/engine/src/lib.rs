@@ -69,8 +69,8 @@ pub mod value;
 
 pub use copy::CopyOptions;
 pub use database::{
-    del_table_name, ins_table_name, Database, EventSnapshot, MvccStats, NormalizationReport,
-    StatementResult, TouchedTable, UndoLog,
+    del_table_name, ins_table_name, AppliedVersions, Database, EventSnapshot, MvccStats,
+    NormalizationReport, StatementResult, TouchedTable, UndoLog,
 };
 pub use error::{EngineError, Result};
 pub use overlay::{DmlDelta, TableDelta, TxOverlay};

@@ -418,15 +418,13 @@ fn bind_source<'a>(
                     return Ok(ControlFlow::Break(()));
                 }
             }
-            if let Some(d) = delta {
-                for row in &d.ins {
-                    let frame_idx = ctx.frames.len() - 1;
-                    ctx.frames[frame_idx][i] = BoundRow::Table(row);
-                    if pass_filters(&src.filters, ctx)?
-                        && bind_source(s, i + 1, ctx, cb)? == ControlFlow::Break(())
-                    {
-                        return Ok(ControlFlow::Break(()));
-                    }
+            for row in delta.into_iter().flat_map(|d| d.ins_rows()) {
+                let frame_idx = ctx.frames.len() - 1;
+                ctx.frames[frame_idx][i] = BoundRow::Table(row);
+                if pass_filters(&src.filters, ctx)?
+                    && bind_source(s, i + 1, ctx, cb)? == ControlFlow::Break(())
+                {
+                    return Ok(ControlFlow::Break(()));
                 }
             }
             Ok(ControlFlow::Continue(()))
@@ -469,23 +467,20 @@ fn bind_source<'a>(
                     return Ok(ControlFlow::Break(()));
                 }
             }
-            // Pending insertions are few (bounded by the transaction's own
-            // statements), so the probe over them is a linear filter on the
-            // index's key columns. Rows are stored schema-validated, which
-            // makes direct `Value` equality against the coerced key exact.
-            if let Some(d) = delta {
-                let ix_columns = &ix.columns;
-                for row in &d.ins {
-                    if !ix_columns.iter().zip(&kv).all(|(&c, k)| row[c] == *k) {
-                        continue;
-                    }
-                    let frame_idx = ctx.frames.len() - 1;
-                    ctx.frames[frame_idx][i] = BoundRow::Table(row);
-                    if pass_filters(&src.filters, ctx)?
-                        && bind_source(s, i + 1, ctx, cb)? == ControlFlow::Break(())
-                    {
-                        return Ok(ControlFlow::Break(()));
-                    }
+            // The overlay mirrors the table's indexes over its pending
+            // insertions, so the same key probes them. Rows are stored
+            // schema-validated, which makes direct `Value` equality against
+            // the coerced key exact.
+            for row in delta
+                .into_iter()
+                .flat_map(|d| d.pending_matching(&ix.columns, kv.iter()))
+            {
+                let frame_idx = ctx.frames.len() - 1;
+                ctx.frames[frame_idx][i] = BoundRow::Table(row);
+                if pass_filters(&src.filters, ctx)?
+                    && bind_source(s, i + 1, ctx, cb)? == ControlFlow::Break(())
+                {
+                    return Ok(ControlFlow::Break(()));
                 }
             }
             Ok(ControlFlow::Continue(()))

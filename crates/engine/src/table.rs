@@ -29,12 +29,24 @@
 //!
 //! Versions created by [`Table::insert`] carry `begin = 0` — visible to
 //! every snapshot — which is what bootstrap loads and raw-engine writes
-//! want; MVCC commits use [`Table::insert_at`] with their commit timestamp.
+//! want; MVCC commits use [`Table::insert_row_at`] with their commit
+//! timestamp.
+//!
+//! # Cost model
+//!
+//! Every operation on the commit path is proportional to the rows it is
+//! handed, never to the table: stamped-dead versions are remembered in a
+//! per-table dead list, so [`Table::gc`] and the un-stamp compensation walk
+//! the garbage instead of the slot vector, and index probes by row
+//! ([`HashIndex::probe_row`]) hash the key columns in place instead of
+//! boxing a key per lookup.
 
 use crate::error::{EngineError, Result};
 use crate::hash::FxHashMap;
 use crate::schema::TableSchema;
 use crate::value::{Row, Value};
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 
 /// Stable identifier of a row version within its table.
 pub type RowId = u32;
@@ -70,13 +82,102 @@ impl Version {
     }
 }
 
+/// A view of an index key — the owned key stored in the map, a probe key
+/// slice, or the key columns of a row in place. Hashing and equality are
+/// defined on the view, so a lookup never has to materialize a key.
+trait KeyView {
+    fn key_len(&self) -> usize;
+    fn key_at(&self, i: usize) -> &Value;
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for i in 0..self.key_len() {
+            self.key_at(i).hash(state);
+        }
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_len() == other.key_len()
+            && (0..self.key_len()).all(|i| self.key_at(i) == other.key_at(i))
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+/// An owned index key (the map's key type).
+#[derive(Debug, Clone)]
+struct IndexKey(Box<[Value]>);
+
+impl KeyView for IndexKey {
+    fn key_len(&self) -> usize {
+        self.0.len()
+    }
+    fn key_at(&self, i: usize) -> &Value {
+        &self.0[i]
+    }
+}
+
+impl Hash for IndexKey {
+    // Must feed the hasher exactly what `dyn KeyView` does; written out so
+    // rehashing a growing map does not pay dynamic dispatch per value.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for v in self.0.iter() {
+            v.hash(state);
+        }
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for IndexKey {}
+
+impl<'a> Borrow<dyn KeyView + 'a> for IndexKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+/// A probe key given as a value slice.
+struct SliceKey<'a>(&'a [Value]);
+
+impl KeyView for SliceKey<'_> {
+    fn key_len(&self) -> usize {
+        self.0.len()
+    }
+    fn key_at(&self, i: usize) -> &Value {
+        &self.0[i]
+    }
+}
+
+/// The key columns of a row, read in place.
+struct RowKey<'a> {
+    row: &'a [Value],
+    columns: &'a [usize],
+}
+
+impl KeyView for RowKey<'_> {
+    fn key_len(&self) -> usize {
+        self.columns.len()
+    }
+    fn key_at(&self, i: usize) -> &Value {
+        &self.row[self.columns[i]]
+    }
+}
+
 /// A hash index over a fixed list of columns.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     pub name: String,
     pub columns: Vec<usize>,
     pub unique: bool,
-    map: FxHashMap<Box<[Value]>, Vec<RowId>>,
+    map: FxHashMap<IndexKey, Vec<RowId>>,
 }
 
 impl HashIndex {
@@ -89,16 +190,25 @@ impl HashIndex {
         }
     }
 
-    /// Extract this index's key from a row; `None` if any key column is NULL.
+    /// Does `row` carry a key for this index (no key column is NULL)?
+    fn has_key(&self, row: &[Value]) -> bool {
+        self.columns.iter().all(|&c| !row[c].is_null())
+    }
+
+    /// Materialize this index's key from a row; `None` if any key column is
+    /// NULL. Allocates — lookups and comparisons use
+    /// [`HashIndex::probe_row`] / [`HashIndex::same_key`] instead; this is
+    /// for storing a new key and for error messages.
     pub(crate) fn key_of(&self, row: &[Value]) -> Option<Box<[Value]>> {
-        let mut key = Vec::with_capacity(self.columns.len());
-        for &c in &self.columns {
-            if row[c].is_null() {
-                return None;
-            }
-            key.push(row[c].clone());
-        }
-        Some(key.into_boxed_slice())
+        self.has_key(row)
+            .then(|| self.columns.iter().map(|&c| row[c].clone()).collect())
+    }
+
+    /// Do `a` and `b` carry the same (non-NULL) key for this index?
+    pub(crate) fn same_key(&self, a: &[Value], b: &[Value]) -> bool {
+        self.columns
+            .iter()
+            .all(|&c| !a[c].is_null() && a[c] == b[c])
     }
 
     /// Candidate row-version ids matching an exact key. The result may
@@ -106,14 +216,54 @@ impl HashIndex {
     /// versions awaiting GC); filter with [`Table::get`] /
     /// [`Table::get_at`].
     pub fn probe(&self, key: &[Value]) -> &[RowId] {
+        self.lookup(&SliceKey(key))
+    }
+
+    /// [`HashIndex::probe`] with the key read from `row`'s key columns in
+    /// place (no key is allocated); `None` if any key column is NULL — such
+    /// rows are not indexed.
+    pub fn probe_row(&self, row: &[Value]) -> Option<&[RowId]> {
+        self.has_key(row).then(|| {
+            self.lookup(&RowKey {
+                row,
+                columns: &self.columns,
+            })
+        })
+    }
+
+    fn lookup(&self, key: &dyn KeyView) -> &[RowId] {
         self.map.get(key).map_or(&[], |v| v.as_slice())
     }
 
-    fn insert(&mut self, key: Box<[Value]>, id: RowId) {
-        self.map.entry(key).or_default().push(id);
+    /// Index version `id` of `row` (a no-op for a row without a key).
+    fn insert(&mut self, row: &[Value], id: RowId) {
+        if !self.has_key(row) {
+            return;
+        }
+        let key = RowKey {
+            row,
+            columns: &self.columns,
+        };
+        match self.map.get_mut(&key as &dyn KeyView) {
+            Some(ids) => ids.push(id),
+            None => {
+                // Only a key the index has not seen yet is materialized.
+                let owned = IndexKey(self.key_of(row).expect("checked above"));
+                self.map.insert(owned, vec![id]);
+            }
+        }
     }
 
-    fn remove(&mut self, key: &[Value], id: RowId) {
+    /// Drop version `id` of `row` from the index.
+    fn remove(&mut self, row: &[Value], id: RowId) {
+        if !self.has_key(row) {
+            return;
+        }
+        let key = RowKey {
+            row,
+            columns: &self.columns,
+        };
+        let key: &dyn KeyView = &key;
         if let Some(v) = self.map.get_mut(key) {
             if let Some(pos) = v.iter().position(|&x| x == id) {
                 v.swap_remove(pos);
@@ -132,15 +282,18 @@ pub struct Table {
     slots: Vec<Option<Version>>,
     free: Vec<RowId>,
     live: usize,
-    /// Versions stamped dead but not yet garbage-collected.
-    dead: usize,
+    /// Ids of the versions stamped dead but not yet garbage-collected, in
+    /// stamping order — so the versions an in-flight commit stamped are
+    /// its tail. [`Table::gc`] and [`Table::unstamp_last`] walk this list,
+    /// never the slot vector.
+    dead: Vec<RowId>,
     /// Lower bound on the `end` stamps of retained dead versions
     /// ([`TS_LIVE`] when none). Lets [`Table::has_prunable`] answer "would
-    /// a GC pass at this horizon free anything?" without scanning — so a
-    /// horizon pinned by a long-lived snapshot doesn't trigger futile
-    /// full-table sweeps. May be conservatively low (a physical
+    /// a GC pass at this horizon free anything?" in O(1) — so a horizon
+    /// pinned by a long-lived snapshot doesn't trigger futile passes over
+    /// the dead list. May be conservatively low (a physical
     /// [`Table::delete_row`] of the minimal dead version leaves it stale),
-    /// which costs at most one empty sweep before [`Table::gc`] recomputes
+    /// which costs at most one empty pass before [`Table::gc`] recomputes
     /// it exactly.
     min_dead_end: u64,
     indexes: Vec<HashIndex>,
@@ -155,7 +308,7 @@ impl Table {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            dead: 0,
+            dead: Vec::new(),
             min_dead_end: TS_LIVE,
             indexes: Vec::new(),
         };
@@ -193,7 +346,7 @@ impl Table {
     /// latest snapshot, dead ones are retained only for older snapshots
     /// until [`Table::gc`] prunes them.
     pub fn version_counts(&self) -> (usize, usize) {
-        (self.live, self.dead)
+        (self.live, self.dead.len())
     }
 
     /// Number of rows visible to a snapshot taken at commit timestamp `s`.
@@ -215,23 +368,56 @@ impl Table {
                 got: values.len(),
             });
         }
-        let mut row = Vec::with_capacity(values.len());
-        for (v, col) in values.into_iter().zip(&self.schema.columns) {
+        let mut row = values;
+        for (v, col) in row.iter_mut().zip(&self.schema.columns) {
             if v.is_null() && col.not_null {
-                return Err(EngineError::NullViolation {
-                    table: self.schema.name.clone(),
-                    column: col.name.clone(),
-                });
+                return Err(self.null_violation(col));
             }
-            let coerced = v.clone().coerce_to(col.ty).ok_or_else(|| {
-                EngineError::TypeError(format!(
-                    "value {v} is not valid for column {}.{} of type {}",
-                    self.schema.name, col.name, col.ty
-                ))
-            })?;
-            row.push(coerced);
+            // Values already of the column's type (the common case) stay
+            // where they are; only a cross-type value is rebuilt.
+            if v.data_type().is_some_and(|ty| ty != col.ty) {
+                *v = v
+                    .clone()
+                    .coerce_to(col.ty)
+                    .ok_or_else(|| self.type_error(v, col))?;
+            }
         }
         Ok(row.into_boxed_slice())
+    }
+
+    fn null_violation(&self, col: &crate::schema::Column) -> EngineError {
+        EngineError::NullViolation {
+            table: self.schema.name.clone(),
+            column: col.name.clone(),
+        }
+    }
+
+    fn type_error(&self, v: &Value, col: &crate::schema::Column) -> EngineError {
+        EngineError::TypeError(format!(
+            "value {v} is not valid for column {}.{} of type {}",
+            self.schema.name, col.name, col.ty
+        ))
+    }
+
+    /// Check that `row` is already in this table's storage form — the
+    /// output of [`Table::validate`] against this schema or one with the
+    /// same column types — without copying it.
+    fn check_stored_form(&self, row: &[Value]) -> Result<()> {
+        if row.len() != self.schema.arity() {
+            return Err(EngineError::ArityMismatch {
+                table: self.schema.name.clone(),
+                expected: self.schema.arity(),
+                got: row.len(),
+            });
+        }
+        for (v, col) in row.iter().zip(&self.schema.columns) {
+            match v.data_type() {
+                None if col.not_null => return Err(self.null_violation(col)),
+                Some(ty) if ty != col.ty => return Err(self.type_error(v, col)),
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     /// Insert a (validated or raw) row with `begin = 0` — visible to every
@@ -246,24 +432,37 @@ impl Table {
     /// history, not conflicts.
     pub fn insert_at(&mut self, values: Vec<Value>, begin: u64) -> Result<RowId> {
         let row = self.validate(values)?;
+        self.store(row, begin)
+    }
+
+    /// [`Table::insert_at`] for a row that is already in storage form
+    /// (validated when its statement was planned, or read back from another
+    /// table with the same column types): the row is moved into the table,
+    /// not re-coerced or copied. Its form is still verified — rows staged
+    /// by hand into an event table never met the base table's `NOT NULL`
+    /// constraints.
+    pub fn insert_row_at(&mut self, row: Row, begin: u64) -> Result<RowId> {
+        self.check_stored_form(&row)?;
+        self.store(row, begin)
+    }
+
+    /// Store a row known to be in storage form: uniqueness, slot, indexes.
+    fn store(&mut self, row: Row, begin: u64) -> Result<RowId> {
         // Uniqueness checks before any mutation.
-        for ix in &self.indexes {
-            if !ix.unique {
-                continue;
-            }
-            if let Some(key) = ix.key_of(&row) {
-                let conflict = ix.probe(&key).iter().any(|&id| {
+        for ix in self.indexes.iter().filter(|ix| ix.unique) {
+            let conflict = ix.probe_row(&row).is_some_and(|ids| {
+                ids.iter().any(|&id| {
                     self.slots[id as usize]
                         .as_ref()
                         .is_some_and(|v| v.is_live())
+                })
+            });
+            if conflict {
+                return Err(EngineError::UniqueViolation {
+                    table: self.schema.name.clone(),
+                    index: ix.name.clone(),
+                    key: format_key(&ix.key_of(&row).expect("probed key is non-NULL")),
                 });
-                if conflict {
-                    return Err(EngineError::UniqueViolation {
-                        table: self.schema.name.clone(),
-                        index: ix.name.clone(),
-                        key: format_key(&key),
-                    });
-                }
             }
         }
         let id = match self.free.pop() {
@@ -274,9 +473,7 @@ impl Table {
             }
         };
         for ix in &mut self.indexes {
-            if let Some(key) = ix.key_of(&row) {
-                ix.insert(key, id);
-            }
+            ix.insert(&row, id);
         }
         self.slots[id as usize] = Some(Version {
             row,
@@ -293,74 +490,77 @@ impl Table {
     /// re-reads (event tables, undo compensation, exclusively owned
     /// databases). The MVCC commit path uses [`Table::delete_row_at`].
     pub fn delete_row(&mut self, id: RowId) -> Option<Row> {
-        let version = self.slots.get_mut(id as usize)?.take()?;
-        for ix in &mut self.indexes {
-            if let Some(key) = ix.key_of(&version.row) {
-                ix.remove(&key, id);
-            }
-        }
-        self.free.push(id);
+        let version = self.free_slot(id)?;
         if version.is_live() {
             self.live -= 1;
-        } else {
-            self.dead -= 1;
+        } else if let Some(pos) = self.dead.iter().position(|&d| d == id) {
+            // Order-preserving, so an in-flight commit's stamps stay the
+            // tail of the list.
+            self.dead.remove(pos);
         }
         Some(version.row)
+    }
+
+    /// Empty slot `id`: drop its index entries and put it on the free list.
+    /// The live count and the dead list are the caller's business.
+    fn free_slot(&mut self, id: RowId) -> Option<Version> {
+        let version = self.slots.get_mut(id as usize)?.take()?;
+        for ix in &mut self.indexes {
+            ix.remove(&version.row, id);
+        }
+        self.free.push(id);
+        Some(version)
     }
 
     /// Stamp a *live* version dead at commit timestamp `end`: snapshots at
     /// or after `end` no longer see it, older snapshots still do. The
     /// version stays in the slot vector and the indexes until [`Table::gc`]
-    /// prunes it. Returns the row, or `None` if `id` is absent or already
-    /// dead.
-    pub fn delete_row_at(&mut self, id: RowId, end: u64) -> Option<Row> {
-        let version = self.slots.get_mut(id as usize)?.as_mut()?;
+    /// prunes it. Returns whether a version was stamped (`false` if `id` is
+    /// absent or already dead).
+    pub fn delete_row_at(&mut self, id: RowId, end: u64) -> bool {
+        let Some(version) = self.slots.get_mut(id as usize).and_then(Option::as_mut) else {
+            return false;
+        };
         if !version.is_live() {
-            return None;
+            return false;
         }
         version.end = end;
-        let row = version.row.clone();
         self.live -= 1;
-        self.dead += 1;
+        self.dead.push(id);
         self.min_dead_end = self.min_dead_end.min(end);
-        Some(row)
+        true
     }
 
-    /// Reverse an un-published [`Table::delete_row_at`] stamp: a version
-    /// with `end == ts` becomes live again. Compensation for a failed
-    /// versioned apply — safe only while `ts` has not been published as a
-    /// commit timestamp (no snapshot can reference it yet).
-    pub(crate) fn unstamp_end(&mut self, ts: u64) -> usize {
-        let mut n = 0;
-        let mut min_dead = TS_LIVE;
-        for v in self.slots.iter_mut().flatten() {
-            if v.end == ts {
+    /// Reverse the last `n` [`Table::delete_row_at`] stamps: those versions
+    /// become live again and leave the dead list. Compensation for a
+    /// versioned apply that cannot be published — safe only while the
+    /// stamping commit's timestamp is unpublished (no snapshot can
+    /// reference it yet), which is also why its stamps are still the tail
+    /// of the dead list. O(`n`).
+    pub(crate) fn unstamp_last(&mut self, n: usize) {
+        for _ in 0..n {
+            let Some(id) = self.dead.pop() else { break };
+            if let Some(v) = self.slots[id as usize].as_mut() {
                 v.end = TS_LIVE;
                 self.live += 1;
-                self.dead -= 1;
-                n += 1;
-            } else if !v.is_live() {
-                min_dead = min_dead.min(v.end);
             }
         }
-        // The full pass just happened anyway — make the bound exact.
-        self.min_dead_end = min_dead;
-        n
+        // The bound may now be conservatively low, which is allowed; it is
+        // exact again as soon as nothing is left to bound.
+        if self.dead.is_empty() {
+            self.min_dead_end = TS_LIVE;
+        }
     }
 
-    /// Physically remove every version with `begin == ts` (compensation for
-    /// a failed versioned apply; see [`Table::unstamp_end`]).
-    pub(crate) fn remove_begun_at(&mut self, ts: u64) -> usize {
-        let ids: Vec<RowId> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().filter(|v| v.begin == ts).map(|_| i as RowId))
-            .collect();
-        for &id in &ids {
+    /// Physically remove the versions `ids` (the insertions of a versioned
+    /// apply that cannot be published; see [`Table::unstamp_last`]).
+    /// Slots are freed in ascending id order so later slot reuse does not
+    /// depend on the order the rows were inserted in.
+    pub(crate) fn remove_versions(&mut self, mut ids: Vec<RowId>) {
+        ids.sort_unstable();
+        for id in ids {
             self.delete_row(id);
         }
-        ids.len()
     }
 
     /// Access a live row by version id (`None` for dead versions).
@@ -403,19 +603,36 @@ impl Table {
         self.slots.clear();
         self.free.clear();
         self.live = 0;
-        self.dead = 0;
+        self.dead.clear();
         self.min_dead_end = TS_LIVE;
         for ix in &mut self.indexes {
             ix.map.clear();
         }
     }
 
+    /// Move every live row out, in scan order, leaving the table empty
+    /// (as after [`Table::truncate`]). How a commit hands its staged
+    /// insertion events to the base table without copying them.
+    pub fn take_rows(&mut self) -> Vec<Row> {
+        // `drain`, not `take`: the slot vector keeps its allocation for the
+        // next commit's staging.
+        let rows = self
+            .slots
+            .drain(..)
+            .flatten()
+            .filter(Version::is_live)
+            .map(|v| v.row)
+            .collect();
+        self.truncate();
+        rows
+    }
+
     /// Would [`Table::gc`] at `horizon` free anything? O(1): answered from
     /// the tracked lower bound on dead `end` stamps, so callers can skip
-    /// futile full-table sweeps while a long-lived snapshot pins the
-    /// horizon below every retained version.
+    /// futile passes while a long-lived snapshot pins the horizon below
+    /// every retained version.
     pub fn has_prunable(&self, horizon: u64) -> bool {
-        self.dead > 0 && self.min_dead_end <= horizon
+        !self.dead.is_empty() && self.min_dead_end <= horizon
     }
 
     /// Garbage-collect versions no snapshot at or after `horizon` can see
@@ -423,26 +640,38 @@ impl Table {
     /// freed for reuse. `horizon` must be the oldest live snapshot
     /// timestamp (or the current commit timestamp when no snapshot is
     /// open). Returns the number of versions pruned.
+    ///
+    /// Cost is O(dead versions), independent of the table's size: the pass
+    /// walks the dead list, not the slots.
     pub fn gc(&mut self, horizon: u64) -> usize {
         if !self.has_prunable(horizon) {
             return 0;
         }
-        let mut ids: Vec<RowId> = Vec::new();
+        let mut pruned: Vec<RowId> = Vec::new();
         let mut min_surviving_dead = TS_LIVE;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(v) = slot else { continue };
-            if v.end <= horizon {
-                ids.push(i as RowId);
-            } else if !v.is_live() {
-                min_surviving_dead = min_surviving_dead.min(v.end);
+        let slots = &self.slots;
+        self.dead.retain(|&id| {
+            let end = slots[id as usize]
+                .as_ref()
+                .expect("dead list names occupied slots")
+                .end;
+            if end <= horizon {
+                pruned.push(id);
+                false
+            } else {
+                min_surviving_dead = min_surviving_dead.min(end);
+                true
             }
-        }
-        for &id in &ids {
-            self.delete_row(id);
-        }
-        // The sweep visited every version — make the bound exact again.
+        });
+        // The pass visited every dead version — make the bound exact again.
         self.min_dead_end = min_surviving_dead;
-        ids.len()
+        // Free slots in ascending id order: which slot the next insert
+        // reuses must not depend on the order versions died in.
+        pruned.sort_unstable();
+        for &id in &pruned {
+            self.free_slot(id);
+        }
+        pruned.len()
     }
 
     /// The indexes of this table.
@@ -474,21 +703,21 @@ impl Table {
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|v| (i as RowId, v)))
         {
-            if let Some(key) = ix.key_of(&version.row) {
+            if let Some(bucket) = ix.probe_row(&version.row) {
                 if unique
                     && version.is_live()
-                    && ix
-                        .probe(&key)
+                    && bucket
                         .iter()
                         .any(|&p| self.slots[p as usize].as_ref().is_some_and(|v| v.is_live()))
                 {
+                    let key = ix.key_of(&version.row).expect("probed key is non-NULL");
                     return Err(EngineError::UniqueViolation {
                         table: self.schema.name.clone(),
                         index: ix.name,
                         key: format_key(&key),
                     });
                 }
-                ix.insert(key, id);
+                ix.insert(&version.row, id);
             }
         }
         self.indexes.push(ix);
@@ -546,41 +775,40 @@ impl Table {
     }
 
     /// [`Table::find_identical`] against the state a snapshot taken at
-    /// commit timestamp `s` observes.
+    /// commit timestamp `s` observes. Allocation-free — also the existence
+    /// probe of commit-time conflict detection.
     pub fn find_identical_at(&self, row: &[Value], s: u64) -> Option<RowId> {
-        // Use the PK index when the key is non-null.
-        if let Some(ix) = self.indexes.first().filter(|ix| ix.unique) {
-            if let Some(key) = ix.key_of(row) {
-                for &id in ix.probe(&key) {
-                    if self.get_at(id, s).is_some_and(|r| r.as_ref() == row) {
-                        return Some(id);
-                    }
-                }
-                return None;
-            }
+        let identical = |id: RowId| self.get_at(id, s).is_some_and(|r| r.as_ref() == row);
+        match self.identity_bucket(row) {
+            Some(ids) => ids.iter().copied().find(|&id| identical(id)),
+            None => self
+                .scan_at(s)
+                .find(|(_, r)| r.as_ref() == row)
+                .map(|(id, _)| id),
         }
-        self.scan_at(s)
-            .find(|(_, r)| r.as_ref() == row)
-            .map(|(id, _)| id)
     }
 
-    /// Every live version identical to `row` (set semantics: one deletion
-    /// event removes all identical copies). Used by the versioned apply.
-    pub fn find_identical_all(&self, row: &[Value]) -> Vec<RowId> {
-        if let Some(ix) = self.indexes.first().filter(|ix| ix.unique) {
-            if let Some(key) = ix.key_of(row) {
-                return ix
-                    .probe(&key)
-                    .iter()
-                    .copied()
-                    .filter(|&id| self.get(id).is_some_and(|r| r.as_ref() == row))
-                    .collect();
-            }
+    /// Append every live version identical to `row` to `out` (set
+    /// semantics: one deletion event removes all identical copies). Used by
+    /// the versioned apply.
+    pub fn find_identical_all(&self, row: &[Value], out: &mut Vec<RowId>) {
+        let identical = |id: RowId| self.get(id).is_some_and(|r| r.as_ref() == row);
+        match self.identity_bucket(row) {
+            Some(ids) => out.extend(ids.iter().copied().filter(|&id| identical(id))),
+            None => out.extend(
+                self.scan()
+                    .filter(|(_, r)| r.as_ref() == row)
+                    .map(|(id, _)| id),
+            ),
         }
-        self.scan()
-            .filter(|(_, r)| r.as_ref() == row)
-            .map(|(id, _)| id)
-            .collect()
+    }
+
+    /// The versions that can be identical to `row`: identical rows share
+    /// every index key, so any index `row` carries a key for narrows the
+    /// search to one bucket. `None` (a keyless table, or NULL in every key)
+    /// means scan.
+    fn identity_bucket(&self, row: &[Value]) -> Option<&[RowId]> {
+        self.indexes.iter().find_map(|ix| ix.probe_row(row))
     }
 }
 
@@ -755,7 +983,7 @@ mod tests {
         let mut t = Table::new(schema2());
         let id = t.insert(vec![Value::Int(1), Value::str("x")]).unwrap();
         // Deleted at commit 5: snapshots 0..5 still see it, 5.. don't.
-        assert!(t.delete_row_at(id, 5).is_some());
+        assert!(t.delete_row_at(id, 5));
         assert_eq!(t.len(), 0);
         assert_eq!(t.version_counts(), (0, 1));
         assert_eq!(t.get(id), None);
@@ -764,7 +992,7 @@ mod tests {
         assert_eq!(t.scan_at(4).count(), 1);
         assert_eq!(t.scan_at(5).count(), 0);
         // Stamping an already-dead version is a no-op.
-        assert!(t.delete_row_at(id, 9).is_none());
+        assert!(!t.delete_row_at(id, 9));
     }
 
     #[test]
@@ -829,11 +1057,178 @@ mod tests {
         let mut t = Table::new(schema2());
         let a = t.insert(vec![Value::Int(1), Value::Null]).unwrap();
         t.delete_row_at(a, 7);
-        t.insert_at(vec![Value::Int(2), Value::Null], 7).unwrap();
-        assert_eq!(t.unstamp_end(7), 1);
-        assert_eq!(t.remove_begun_at(7), 1);
+        let b = t.insert_at(vec![Value::Int(2), Value::Null], 7).unwrap();
+        t.unstamp_last(1);
+        t.remove_versions(vec![b]);
         assert_eq!(t.version_counts(), (1, 0));
         assert!(t.get(a).is_some());
+        assert!(!t.has_prunable(u64::MAX - 1));
+    }
+
+    #[test]
+    fn unstamped_versions_leave_the_dead_list() {
+        let mut t = Table::new(schema2());
+        let ids: Vec<RowId> = (0..4)
+            .map(|i| t.insert(vec![Value::Int(i), Value::Null]).unwrap())
+            .collect();
+        // An older commit's garbage, then an in-flight commit's stamps.
+        t.delete_row_at(ids[0], 3);
+        t.delete_row_at(ids[1], 8);
+        t.delete_row_at(ids[2], 8);
+        assert_eq!(t.dead, [ids[0], ids[1], ids[2]]);
+        t.unstamp_last(2);
+        assert_eq!(
+            t.dead,
+            [ids[0]],
+            "only the older commit's version stays dead"
+        );
+        assert_eq!(t.version_counts(), (3, 1));
+        assert!(t.get(ids[1]).is_some() && t.get(ids[2]).is_some());
+        // A GC pass that would have pruned the withdrawn stamps prunes
+        // exactly the one real dead version and leaves the revived alone.
+        assert_eq!(t.gc(8), 1);
+        assert_eq!(t.version_counts(), (3, 0));
+        assert!(t.get(ids[1]).is_some() && t.get(ids[2]).is_some());
+    }
+
+    #[test]
+    fn slot_reuse_never_resurrects_a_dead_list_entry() {
+        let mut t = Table::new(schema2());
+        let a = t.insert(vec![Value::Int(1), Value::Null]).unwrap();
+        let b = t.insert(vec![Value::Int(2), Value::Null]).unwrap();
+        t.delete_row_at(a, 2);
+        t.delete_row_at(b, 2);
+        // `a` leaves through GC, `b` through a physical delete: neither may
+        // stay on the dead list once its slot is free.
+        t.delete_row(b);
+        assert_eq!(t.dead, [a]);
+        assert_eq!(t.gc(2), 1);
+        assert!(t.dead.is_empty());
+        // Both slots are reused by live rows …
+        let c = t.insert(vec![Value::Int(3), Value::Null]).unwrap();
+        let d = t.insert(vec![Value::Int(4), Value::Null]).unwrap();
+        assert_eq!((c.min(d), c.max(d)), (a, b));
+        // … which no later pass may mistake for garbage, however high the
+        // horizon.
+        assert_eq!(t.gc(u64::MAX - 1), 0);
+        assert_eq!(t.version_counts(), (2, 0));
+        // And when a reused slot dies again it is listed exactly once.
+        t.delete_row_at(c, 9);
+        assert_eq!(t.dead, [c]);
+        assert_eq!(t.gc(9), 1);
+        assert_eq!(t.version_counts(), (1, 0));
+    }
+
+    #[test]
+    fn gc_frees_slots_in_ascending_order_whatever_the_death_order() {
+        let mut t = Table::new(schema2());
+        let ids: Vec<RowId> = (0..3)
+            .map(|i| t.insert(vec![Value::Int(i), Value::Null]).unwrap())
+            .collect();
+        t.delete_row_at(ids[2], 1);
+        t.delete_row_at(ids[0], 1);
+        t.delete_row_at(ids[1], 1);
+        assert_eq!(t.gc(1), 3);
+        // The free list is a stack: the highest slot comes back first.
+        let reused: Vec<RowId> = (10..13)
+            .map(|i| t.insert(vec![Value::Int(i), Value::Null]).unwrap())
+            .collect();
+        assert_eq!(reused, [ids[2], ids[1], ids[0]]);
+    }
+
+    /// GC cost follows the garbage, not the table: with 300 dead versions
+    /// among 200 000 rows the pass has exactly the 300-entry dead list to
+    /// walk (the slot vector is never iterated), frees exactly those
+    /// slots, and leaves every other row in place.
+    #[test]
+    fn complexity_gc_walks_the_dead_list_not_the_table() {
+        const ROWS: i64 = 200_000;
+        const DEAD: usize = 300;
+        let mut t = Table::new(schema2());
+        for i in 0..ROWS {
+            t.insert(vec![Value::Int(i), Value::Null]).unwrap();
+        }
+        let stride = ROWS as usize / DEAD;
+        for k in 0..DEAD {
+            // Half die at commit 5, half at commit 9.
+            let end = if k % 2 == 0 { 5 } else { 9 };
+            assert!(t.delete_row_at((k * stride) as RowId, end));
+        }
+        assert_eq!(t.dead.len(), DEAD, "the work list of a pass is the garbage");
+        assert_eq!(t.version_counts(), (ROWS as usize - DEAD, DEAD));
+        // A horizon below every stamp is answered without any walk.
+        assert!(!t.has_prunable(4));
+        assert_eq!(t.gc(4), 0);
+        assert_eq!(t.gc(5), DEAD / 2);
+        assert_eq!(t.dead.len(), DEAD / 2, "survivors stay listed");
+        assert!(!t.has_prunable(8), "the bound is exact after a pass");
+        assert_eq!(t.gc(9), DEAD / 2);
+        assert!(t.dead.is_empty());
+        assert_eq!(t.free.len(), DEAD);
+        assert_eq!(t.version_counts(), (ROWS as usize - DEAD, 0));
+        assert_eq!(t.scan().count(), ROWS as usize - DEAD);
+    }
+
+    #[test]
+    fn insert_row_at_moves_stored_form_rows_and_rejects_others() {
+        let mut t = Table::new(schema2());
+        let row = t.validate(vec![Value::real(7.0), Value::str("x")]).unwrap();
+        let id = t.insert_row_at(row, 4).unwrap();
+        assert_eq!(t.get(id).unwrap()[0], Value::Int(7));
+        // Not in storage form: wrong type, NULL in a NOT NULL column, arity.
+        let raw = |vals: Vec<Value>| vals.into_boxed_slice();
+        assert!(matches!(
+            t.insert_row_at(raw(vec![Value::real(8.0), Value::Null]), 4),
+            Err(EngineError::TypeError(_))
+        ));
+        assert!(matches!(
+            t.insert_row_at(raw(vec![Value::Null, Value::Null]), 4),
+            Err(EngineError::NullViolation { .. })
+        ));
+        assert!(matches!(
+            t.insert_row_at(raw(vec![Value::Int(8)]), 4),
+            Err(EngineError::ArityMismatch { .. })
+        ));
+        // Uniqueness still applies.
+        assert!(matches!(
+            t.insert_row_at(raw(vec![Value::Int(7), Value::Null]), 4),
+            Err(EngineError::UniqueViolation { .. })
+        ));
+    }
+
+    #[test]
+    fn take_rows_empties_the_table_in_scan_order() {
+        let mut t = Table::new(schema2());
+        for i in 0..4 {
+            t.insert(vec![Value::Int(i), Value::Null]).unwrap();
+        }
+        t.delete_row(1);
+        let rows = t.take_rows();
+        let keys: Vec<&Value> = rows.iter().map(|r| &r[0]).collect();
+        assert_eq!(keys, [&Value::Int(0), &Value::Int(2), &Value::Int(3)]);
+        assert_eq!(t.len(), 0);
+        assert!(t.indexes()[0].probe(&[Value::Int(0)]).is_empty());
+        t.insert(vec![Value::Int(0), Value::Null]).unwrap();
+    }
+
+    #[test]
+    fn identity_lookup_uses_any_index_and_survives_null_keys() {
+        // No primary key; a secondary index on `b`.
+        let mut s = schema2();
+        s.primary_key = vec![];
+        let mut t = Table::new(s);
+        t.create_index("t_b".into(), vec![1], false).unwrap();
+        let x1 = t.insert(vec![Value::Int(1), Value::str("x")]).unwrap();
+        let x2 = t.insert(vec![Value::Int(1), Value::str("x")]).unwrap();
+        let n = t.insert(vec![Value::Int(1), Value::Null]).unwrap();
+        t.insert(vec![Value::Int(2), Value::str("x")]).unwrap();
+        let mut ids = Vec::new();
+        t.find_identical_all(&[Value::Int(1), Value::str("x")], &mut ids);
+        ids.sort_unstable();
+        assert_eq!(ids, [x1, x2]);
+        // NULL key: not indexed, found by scanning.
+        assert_eq!(t.find_identical(&[Value::Int(1), Value::Null]), Some(n));
+        assert_eq!(t.find_identical(&[Value::Int(3), Value::str("x")]), None);
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn prepared_execution_matches_adhoc_and_sees_overlays() {
             &overlay,
         )
         .unwrap();
-    overlay.apply_delta(&delta);
+    overlay.apply_delta(delta);
     let rs = db.query_prepared_with_overlay(&p, Some(&overlay)).unwrap();
     assert_eq!(rs.len(), 3, "read-your-writes through the prepared plan");
     assert!(!p.resolve(&db).unwrap().recompiled);

@@ -153,13 +153,20 @@ impl Gauge {
 /// buckets cover every representable `u64` nanosecond count (585 years).
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// A log2-bucketed histogram over durations.
+/// A log2-bucketed histogram over durations — or over plain counts.
 ///
 /// Recording costs one `leading_zeros` and three relaxed atomic adds;
 /// quantiles are extracted from a [`HistogramSnapshot`] by walking the
 /// bucket counts and interpolating linearly inside the winning bucket —
 /// exact to within a factor-of-two bucket, which is plenty for latency
 /// percentiles spanning nanoseconds to seconds.
+///
+/// The buckets themselves are unit-free `u64`s. The unit is carried by the
+/// metric's **name**, the Prometheus convention: a histogram named
+/// `…_seconds` holds durations (recorded in nanoseconds, rendered as
+/// time); any other histogram holds counts recorded with
+/// [`Histogram::record_value`] — rows per transaction, records per fsync —
+/// and is rendered as the plain numbers it holds.
 #[derive(Debug)]
 pub struct Histogram {
     enabled: bool,
@@ -216,12 +223,18 @@ impl Histogram {
 
     /// Record one duration given in nanoseconds.
     pub fn record_nanos(&self, nanos: u64) {
+        self.record_value(nanos);
+    }
+
+    /// Record one sample of a count histogram (one whose name does not end
+    /// in `_seconds`; see the type's documentation).
+    pub fn record_value(&self, value: u64) {
         if !self.enabled {
             return;
         }
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
+        self.sum_nanos.fetch_add(value, Ordering::Relaxed);
+        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Samples recorded so far.
@@ -549,15 +562,36 @@ fn nanos_to_secs(nanos: u64) -> f64 {
     nanos as f64 / 1e9
 }
 
+/// Does the histogram `name` hold durations (as opposed to counts)? The
+/// unit lives in the name; see [`Histogram`].
+fn holds_durations(name: &str) -> bool {
+    name.ends_with("_seconds")
+}
+
+/// A quantile of a count histogram, as the number it is.
+fn count_quantile(h: &HistogramSnapshot, q: f64) -> u64 {
+    h.quantile(q).as_nanos() as u64
+}
+
+fn count_mean(h: &HistogramSnapshot) -> f64 {
+    if h.count == 0 {
+        0.0
+    } else {
+        h.sum_nanos as f64 / h.count as f64
+    }
+}
+
 /// Render a snapshot as aligned human-readable text (the `.stats` /
-/// `--stats` view). Histograms show count, mean and p50/p95/p99.9.
+/// `--stats` view). Histograms show count, mean and p50/p95/p99.9 — as
+/// times for `…_seconds` histograms, as plain numbers for count
+/// histograms.
 pub fn render_text(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     for s in &snapshot.samples {
         match &s.value {
             SampleValue::Counter(v) => out.push_str(&format!("{:<44} {v}\n", s.name)),
             SampleValue::Gauge(v) => out.push_str(&format!("{:<44} {v}\n", s.name)),
-            SampleValue::Histogram(h) => out.push_str(&format!(
+            SampleValue::Histogram(h) if holds_durations(&s.name) => out.push_str(&format!(
                 "{:<44} count {}  mean {:?}  p50 {:?}  p95 {:?}  p99.9 {:?}\n",
                 s.name,
                 h.count,
@@ -566,6 +600,15 @@ pub fn render_text(snapshot: &Snapshot) -> String {
                 h.quantile(0.95),
                 h.quantile(0.999),
             )),
+            SampleValue::Histogram(h) => out.push_str(&format!(
+                "{:<44} count {}  mean {:.1}  p50 {}  p95 {}  p99.9 {}\n",
+                s.name,
+                h.count,
+                count_mean(h),
+                count_quantile(h, 0.50),
+                count_quantile(h, 0.95),
+                count_quantile(h, 0.999),
+            )),
         }
     }
     out
@@ -573,8 +616,9 @@ pub fn render_text(snapshot: &Snapshot) -> String {
 
 /// Render a snapshot in the Prometheus text exposition format (version
 /// 0.0.4): `# TYPE` lines, cumulative `_bucket{le="…"}` series ending in
-/// `+Inf`, and `_sum` / `_count` series. Histogram bounds and sums are
-/// converted from the internal nanoseconds to seconds.
+/// `+Inf`, and `_sum` / `_count` series. The bounds and sums of `…_seconds`
+/// histograms are converted from the internal nanoseconds to seconds;
+/// count histograms are exposed as recorded.
 pub fn render_prometheus(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     for s in &snapshot.samples {
@@ -586,6 +630,7 @@ pub fn render_prometheus(snapshot: &Snapshot) -> String {
                 out.push_str(&format!("# TYPE {} gauge\n{} {v}\n", s.name, s.name));
             }
             SampleValue::Histogram(h) => {
+                let durations = holds_durations(&s.name);
                 out.push_str(&format!("# TYPE {} histogram\n", s.name));
                 let mut cumulative = 0u64;
                 for &(i, c) in &h.buckets {
@@ -593,16 +638,18 @@ pub fn render_prometheus(snapshot: &Snapshot) -> String {
                     out.push_str(&format!(
                         "{}_bucket{{le=\"{}\"}} {cumulative}\n",
                         s.name,
-                        format_le(bucket_upper(i as usize)),
+                        format_le(bucket_upper(i as usize), durations),
                     ));
                 }
                 out.push_str(&format!("{}_bucket{{le=\"+Inf\"}} {}\n", s.name, h.count));
+                let sum = if durations {
+                    format_float(nanos_to_secs(h.sum_nanos))
+                } else {
+                    h.sum_nanos.to_string()
+                };
                 out.push_str(&format!(
-                    "{}_sum {}\n{}_count {}\n",
-                    s.name,
-                    format_float(nanos_to_secs(h.sum_nanos)),
-                    s.name,
-                    h.count
+                    "{}_sum {sum}\n{}_count {}\n",
+                    s.name, s.name, h.count
                 ));
             }
         }
@@ -610,13 +657,17 @@ pub fn render_prometheus(snapshot: &Snapshot) -> String {
     out
 }
 
-/// An `le` bound in seconds, with enough digits to stay exact and no
-/// trailing-zero noise.
-fn format_le(upper_nanos: u64) -> String {
-    if upper_nanos == u64::MAX {
-        return "+Inf".into();
+/// An `le` bound — in seconds (with enough digits to stay exact and no
+/// trailing-zero noise) for a duration histogram, as recorded for a count
+/// histogram.
+fn format_le(upper: u64, durations: bool) -> String {
+    if upper == u64::MAX {
+        "+Inf".into()
+    } else if durations {
+        format_float(nanos_to_secs(upper))
+    } else {
+        upper.to_string()
     }
-    format_float(nanos_to_secs(upper_nanos))
 }
 
 fn format_float(v: f64) -> String {
@@ -631,8 +682,9 @@ fn format_float(v: f64) -> String {
 }
 
 /// Render a snapshot as a JSON object keyed by metric name — counters and
-/// gauges as numbers, histograms as
-/// `{"count", "sum_ns", "mean_us", "p50_us", "p95_us", "p999_us"}` — so
+/// gauges as numbers, `…_seconds` histograms as
+/// `{"count", "sum_ns", "mean_us", "p50_us", "p95_us", "p999_us"}`, count
+/// histograms as `{"count", "sum", "mean", "p50", "p95", "p999"}` — so
 /// bench artifacts can embed the internal counters next to the timings.
 pub fn render_json(snapshot: &Snapshot) -> String {
     let mut out = String::from("{");
@@ -644,6 +696,16 @@ pub fn render_json(snapshot: &Snapshot) -> String {
         match &s.value {
             SampleValue::Counter(v) => out.push_str(&v.to_string()),
             SampleValue::Gauge(v) => out.push_str(&v.to_string()),
+            SampleValue::Histogram(h) if !holds_durations(&s.name) => out.push_str(&format!(
+                "{{\"count\": {}, \"sum\": {}, \"mean\": {:.1}, \
+                 \"p50\": {}, \"p95\": {}, \"p999\": {}}}",
+                h.count,
+                h.sum_nanos,
+                count_mean(h),
+                count_quantile(h, 0.50),
+                count_quantile(h, 0.95),
+                count_quantile(h, 0.999),
+            )),
             SampleValue::Histogram(h) => out.push_str(&format!(
                 "{{\"count\": {}, \"sum_ns\": {}, \"mean_us\": {:.1}, \
                  \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p999_us\": {:.1}}}",
@@ -861,10 +923,43 @@ mod tests {
 
     #[test]
     fn le_bounds_render_in_seconds_without_noise() {
-        assert_eq!(format_le(1024), "0.000001024");
-        assert_eq!(format_le(1_000_000_000), "1");
-        assert_eq!(format_le(u64::MAX), "+Inf");
+        assert_eq!(format_le(1024, true), "0.000001024");
+        assert_eq!(format_le(1_000_000_000, true), "1");
+        assert_eq!(format_le(u64::MAX, true), "+Inf");
+        assert_eq!(format_le(1024, false), "1024");
         assert_eq!(format_float(0.0), "0");
+    }
+
+    #[test]
+    fn count_histograms_render_as_plain_numbers() {
+        let r = Registry::new();
+        let h = r.histogram("tintin_commit_rows");
+        for rows in [6, 6, 200] {
+            h.record_value(rows);
+        }
+        let snap = r.snapshot();
+        let text = render_text(&snap);
+        assert!(
+            text.contains("count 3  mean 70.7  p50 8  p95 256"),
+            "no unit suffixes on a count histogram: {text}"
+        );
+        assert!(!text.contains("ns"), "{text}");
+        let prom = render_prometheus(&snap);
+        assert!(
+            prom.contains("tintin_commit_rows_bucket{le=\"8\"} 2"),
+            "{prom}"
+        );
+        assert!(
+            prom.contains("tintin_commit_rows_bucket{le=\"256\"} 3"),
+            "{prom}"
+        );
+        assert!(prom.contains("tintin_commit_rows_sum 212\n"), "{prom}");
+        let json = render_json(&snap);
+        assert!(
+            json.contains("\"sum\": 212") && json.contains("\"p50\": 8"),
+            "{json}"
+        );
+        assert!(!json.contains("_us"), "{json}");
     }
 
     #[test]

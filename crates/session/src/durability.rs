@@ -300,15 +300,19 @@ fn replay_commit(db: &mut Database, ts: u64, effects: &[TableEffects]) -> Result
     let mut overlay = TxOverlay::new();
     for e in effects {
         let d = overlay.delta_mut(&e.table);
-        d.ins.extend(e.ins.iter().cloned());
-        d.del.extend(e.del.iter().cloned());
+        for row in &e.ins {
+            d.push_ins(row.clone());
+        }
+        for row in &e.del {
+            d.push_del(row.clone());
+        }
     }
     if overlay.is_empty() {
         db.publish_commit(ts);
         return Ok(());
     }
     (|| -> Result<()> {
-        db.stage_overlay_at(&overlay, ts)?;
+        db.stage_overlay_at(overlay, ts)?;
         let (_, touched) = db.normalize_events_touched()?;
         db.apply_pending_versioned_for(&touched, ts)?;
         db.truncate_events_for(&touched);

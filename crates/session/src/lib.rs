@@ -497,6 +497,11 @@ struct SessionMetrics {
     stage_seconds: Arc<Histogram>,
     check_seconds: Arc<Histogram>,
     publish_seconds: Arc<Histogram>,
+    // Transaction size: row events (insertions + deletions, after
+    // normalization) per successful commit — same population as
+    // `commit_seconds`, so latency can be read against the size of the
+    // updates that produced it.
+    commit_rows: Arc<Histogram>,
 }
 
 impl SessionMetrics {
@@ -522,6 +527,7 @@ impl SessionMetrics {
             stage_seconds: registry.histogram("tintin_commit_stage_seconds"),
             check_seconds: registry.histogram("tintin_commit_check_seconds"),
             publish_seconds: registry.histogram("tintin_commit_publish_seconds"),
+            commit_rows: registry.histogram("tintin_commit_rows"),
         }
     }
 }
@@ -885,8 +891,8 @@ impl Session {
                     let d = tx.overlay.delta(&t).expect("touched implies delta");
                     PendingTable {
                         table: t,
-                        inserts: d.ins.len(),
-                        deletes: d.del.len(),
+                        inserts: d.ins_rows().len(),
+                        deletes: d.del_rows().len(),
                     }
                 })
                 .collect(),
@@ -1112,7 +1118,7 @@ impl Session {
                             .read()
                             .plan_dml_at(dml, &tx.overlay, tx.snapshot.ts())?;
                     let n = delta.rows_affected;
-                    tx.overlay.apply_delta(&delta);
+                    tx.overlay.apply_delta(delta);
                     Ok(StatementOutcome::RowsAffected(n))
                 } else {
                     self.autocommit(dml)
@@ -1158,19 +1164,19 @@ impl Session {
         let Some(tx) = self.tx.take() else {
             return Err(SessionError::NoActiveTransaction);
         };
-        self.phased_commit(&tx.overlay, tx.snapshot.ts())
+        self.phased_commit(tx.overlay, tx.snapshot.ts())
     }
 
     /// The three-phase commit protocol (see [`Session::commit`]). The
     /// caller has already detached the transaction: whatever happens here,
     /// the session ends up outside one, with the shared event tables empty.
-    fn phased_commit(&self, overlay: &TxOverlay, snapshot: u64) -> Result<StatementOutcome> {
+    fn phased_commit(&self, overlay: TxOverlay, snapshot: u64) -> Result<StatementOutcome> {
         // Read-only fast path, checked *before* queueing on the commit
         // lock: a transaction with nothing pending (and no hand-staged
         // events awaiting a carrier commit) has nothing to check, apply or
         // publish — it must not wait out a concurrent checked commit's
         // expensive phase or bump the commit clock.
-        if self.nothing_to_commit(overlay) {
+        if self.nothing_to_commit(&overlay) {
             // Fast-path commits count toward the conservation invariant
             // (attempts == commits + rejects + conflicts + errors) but not
             // toward the latency histograms — a no-op is not a latency
@@ -1221,7 +1227,7 @@ impl Session {
     /// amortization.
     fn phased_commit_guarded(
         &self,
-        overlay: &TxOverlay,
+        overlay: TxOverlay,
         snapshot: u64,
     ) -> Result<(StatementOutcome, Option<Lsn>)> {
         let state = self.server.state_read();
@@ -1232,7 +1238,7 @@ impl Session {
         // No-op fast path (autocommitted statements that planned to
         // nothing, e.g. an UPDATE matching zero rows): skip the phases and
         // the clock bump. The guard is already held, so this is cheap.
-        if self.nothing_to_commit(overlay) {
+        if self.nothing_to_commit(&overlay) {
             m.commits.inc();
             return Ok((
                 StatementOutcome::Committed {
@@ -1259,7 +1265,7 @@ impl Session {
             let mut db = self.server.db.write();
             let ts = db.next_commit_ts();
             let staged = (|| {
-                db.detect_conflicts(overlay, snapshot)?;
+                db.detect_conflicts(&overlay, snapshot)?;
                 db.stage_overlay_at(overlay, ts)?;
                 db.normalize_events_touched()
             })();
@@ -1346,33 +1352,42 @@ impl Session {
             // The commit lock has been held since phase 1, so the timestamp
             // reserved there is still the next one to publish.
             debug_assert_eq!(ts, db.next_commit_ts());
-            if let Err(e) = db.apply_pending_versioned_for(&touched_list, ts) {
-                // Compensated by version un-stamping; ts was never
-                // published, so no session saw anything.
-                db.truncate_events_for(&touched_list);
-                m.errors.inc();
-                return Err(e.into());
-            }
-            // Write-ahead: on a durable server the commit's normalized
-            // effects reach the log before the timestamp publishes. Both
-            // happen under the commit lock, so log order equals publish
-            // order; the fsync waits until the lock drops (group commit).
-            // The staged event tables still hold the effects — apply
-            // copied them, truncation comes next.
+            // On a durable server the log record gets its own copy of the
+            // normalized effects — taken now, because the apply moves the
+            // staged insertions out of the event tables into the base
+            // tables.
+            let logged = self
+                .server
+                .dura
+                .as_ref()
+                .filter(|dura| dura.fault() != DurabilityFault::AckBeforeLog)
+                .map(|dura| (dura, db.staged_effects_for(&touched_list)));
+            let applied = match db.apply_pending_versioned_for(&touched_list, ts) {
+                Ok(applied) => applied,
+                Err(e) => {
+                    // Compensated by version un-stamping; ts was never
+                    // published, so no session saw anything.
+                    db.truncate_events_for(&touched_list);
+                    m.errors.inc();
+                    return Err(e.into());
+                }
+            };
+            // Write-ahead: the effects reach the log before the timestamp
+            // publishes. Both happen under the commit lock, so log order
+            // equals publish order; the fsync waits until the lock drops
+            // (group commit).
             let mut wal_lsn = None;
-            if let Some(dura) = &self.server.dura {
-                if dura.fault() != DurabilityFault::AckBeforeLog {
-                    match dura.append_commit(ts, db.staged_effects_for(&touched_list)) {
-                        Ok(lsn) => wal_lsn = Some(lsn),
-                        Err(e) => {
-                            // The record never reached the log: withdraw
-                            // the apply (ts is unpublished, so nothing was
-                            // observable) and fail the commit.
-                            db.unapply_pending_versioned_for(&touched_list, ts);
-                            db.truncate_events_for(&touched_list);
-                            m.errors.inc();
-                            return Err(e);
-                        }
+            if let Some((dura, effects)) = logged {
+                match dura.append_commit(ts, effects) {
+                    Ok(lsn) => wal_lsn = Some(lsn),
+                    Err(e) => {
+                        // The record never reached the log: withdraw the
+                        // apply (ts is unpublished, so nothing was
+                        // observable) and fail the commit.
+                        db.unapply_pending_versioned(applied);
+                        db.truncate_events_for(&touched_list);
+                        m.errors.inc();
+                        return Err(e);
                     }
                 }
             }
@@ -1388,6 +1403,7 @@ impl Session {
             m.commits.inc();
             let total = stage_time + check_time + publish_time;
             m.commit_seconds.record(total);
+            m.commit_rows.record_value((inserted + deleted) as u64);
             self.report_slow_commit(ts, total, stage_time, check_time, publish_time);
             if let Some(h) = &hook {
                 h(self.id, CommitPhase::Published);
@@ -1540,7 +1556,7 @@ impl Session {
         let saved = db.snapshot_events();
         let result = (|| {
             if let Some(tx) = &self.tx {
-                db.stage_overlay(&tx.overlay)?;
+                db.stage_overlay(tx.overlay.clone())?;
             }
             check_staged(&mut db, &state)
         })();
@@ -1565,10 +1581,10 @@ impl Session {
                 let snapshot = db.current_ts();
                 let mut overlay = TxOverlay::new();
                 let delta = db.plan_dml_at(dml, &overlay, TS_LATEST)?;
-                overlay.apply_delta(&delta);
+                overlay.apply_delta(delta);
                 (overlay, snapshot)
             };
-            self.phased_commit_guarded(&overlay, snapshot)
+            self.phased_commit_guarded(overlay, snapshot)
         })();
         // Same group-commit ordering as `phased_commit`: lock released,
         // then fsync before the acknowledgment.

@@ -256,8 +256,10 @@ fn run_scenario(
     mutant: Mutant,
     log: &mut Vec<String>,
 ) -> Result<(), String> {
+    // The mutant is part of the name: batteries that differ only in it run
+    // concurrently in one test process.
     let dir = std::env::temp_dir().join(format!(
-        "tintin-sim-crash-{}-{seed}-{index}",
+        "tintin-sim-crash-{}-{seed}-{index}-{mutant:?}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);

@@ -224,7 +224,7 @@ impl<'a> Sim<'a> {
                     }
                 } else {
                     self.mirror_db
-                        .stage_overlay(overlay)
+                        .stage_overlay(overlay.clone())
                         .map_err(|e| self.fail(step, format!("mirror staging failed: {e}")))?;
                     let out = self
                         .mirror_tintin
@@ -265,7 +265,7 @@ impl<'a> Sim<'a> {
                 // the full recheck must agree with the rejection.
                 if !overlay.is_empty() {
                     self.mirror_db
-                        .stage_overlay(overlay)
+                        .stage_overlay(overlay.clone())
                         .map_err(|e| self.fail(step, format!("mirror staging failed: {e}")))?;
                     let out = self
                         .mirror_tintin
@@ -367,7 +367,7 @@ impl<'a> Sim<'a> {
             .install(&mut db, &texts)
             .map_err(|e| self.fail(step, format!("replay install failed: {e}")))?;
         for (i, ov) in self.accepted.iter().enumerate() {
-            db.stage_overlay(ov)
+            db.stage_overlay(ov.clone())
                 .map_err(|e| self.fail(step, format!("replay staging failed: {e}")))?;
             let out = tintin
                 .full_recheck(&mut db, &inst)
@@ -480,7 +480,7 @@ impl<'a> Sim<'a> {
         match mirror_plan {
             Ok(delta) => {
                 let mut overlay = TxOverlay::new();
-                overlay.apply_delta(&delta);
+                overlay.apply_delta(delta);
                 self.finish_commit(step, res, &overlay, &before)
             }
             Err(me) => match res {

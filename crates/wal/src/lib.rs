@@ -669,7 +669,7 @@ impl Wal {
                 st.durable_size = st.durable_size.max(target_size);
                 self.metrics.fsyncs.inc();
                 self.metrics.fsync_seconds.record(elapsed);
-                self.metrics.group_batch.record_nanos(batch);
+                self.metrics.group_batch.record_value(batch);
             }
             self.sync_cv.notify_all();
             res?;

@@ -184,6 +184,11 @@ fn commit_storm_conserves_outcome_counters() {
         hist_count_delta(&after, &before, "tintin_commit_publish_seconds"),
         commits
     );
+    // The transaction-size histogram covers the same population.
+    assert_eq!(
+        hist_count_delta(&after, &before, "tintin_commit_rows"),
+        commits
+    );
 
     let h = after.histogram("tintin_commit_seconds").unwrap();
     assert!(h.sum_nanos > 0, "commits took literally zero time?");
@@ -316,6 +321,12 @@ fn stats_command_reports_a_live_server() {
         );
         assert!(h.sum_nanos > 0, "histogram '{name}' has zero total time");
     }
+    // Transaction sizes cross the wire too, as counts (not durations).
+    let rows = m
+        .histogram("tintin_commit_rows")
+        .expect("transaction-size histogram missing over the wire");
+    assert_eq!(rows.count, 5, "one sample per successful commit");
+    assert!(rows.sum_nanos >= 5, "every commit carried at least one row");
     assert_eq!(counter(m, "tintin_commits_total"), 5);
     assert_eq!(counter(m, "tintin_commit_rejects_total"), 5);
     assert_eq!(counter(m, "tintin_commit_attempts_total"), 10);
@@ -337,6 +348,7 @@ fn stats_command_reports_a_live_server() {
     // Prometheus-parseable.
     let text = tintin_client::render_server_stats(&stats);
     assert!(text.contains("tintin_commit_seconds"));
+    assert!(text.contains("tintin_commit_rows"));
     assert!(text.contains("mvcc: commit_ts"));
     assert_prometheus_parses(&tintin_obs::render_prometheus(m));
 
