@@ -14,6 +14,15 @@
 //! over event tables) and joining the update with the current data instead
 //! of re-evaluating the assertion from scratch.
 //!
+//! There is one commit path. [`Tintin::safe_commit`] on an exclusively
+//! owned [`Database`] runs the same engine primitives as a session commit
+//! on the server (`tintin-session`), minus the locks: normalize the events,
+//! check them, stamp the update as row versions at the next commit
+//! timestamp, truncate the events and publish the timestamp.
+//! [`Tintin::full_recheck`], the paper's non-incremental comparator, applies
+//! the same way and withdraws the versions when the original assertion
+//! queries find a violation.
+//!
 //! ```
 //! use tintin_engine::Database;
 //! use tintin::{Tintin, CommitOutcome};
@@ -60,7 +69,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 use tintin_engine::{
     del_table_name, ins_table_name, Database, NormalizationReport, PreparedQuery, ResultSet,
-    TxOverlay, Value,
+    TouchedTable, TxOverlay, Value,
 };
 use tintin_logic::{CmpOp, EdcGenerator, Konst, Registry, SchemaCatalog};
 use tintin_sql as sql;
@@ -1087,6 +1096,16 @@ impl Tintin {
     /// every assertion; commit it if no violation is found, otherwise report
     /// the violating tuples. Either way the event tables are truncated so a
     /// new update can be proposed.
+    ///
+    /// This is the server's commit path run by a single owner: the update
+    /// is applied as row versions stamped with the next commit timestamp,
+    /// which is then published (so [`Database::current_ts`] advances once
+    /// per commit, exactly as a session commit would advance it), and the
+    /// touched tables are garbage-collected once enough dead versions
+    /// accumulate. With nothing pending the clock does not move. An error
+    /// after normalization — a failed check or a failed apply, e.g. a
+    /// primary-key conflict — discards the staged events, as the server
+    /// does, and leaves the base tables unchanged.
     pub fn safe_commit(
         &self,
         db: &mut Database,
@@ -1101,33 +1120,89 @@ impl Tintin {
             ..CheckStats::default()
         };
         let touched = TouchedEvents::from_list(&touched_list);
-        let violations = self.check_normalized(db, installation, &touched, &mut stats)?;
-        if violations.is_empty() {
-            let (inserted, deleted) = db.pending_counts_for(&touched_list);
-            db.apply_pending_for(&touched_list)?;
+        let violations = match self.check_normalized(db, installation, &touched, &mut stats) {
+            Ok(violations) => violations,
+            Err(e) => {
+                db.truncate_events_for(&touched_list);
+                return Err(e);
+            }
+        };
+        if !violations.is_empty() {
             db.truncate_events_for(&touched_list);
-            Ok(CommitOutcome::Committed {
-                inserted,
-                deleted,
-                stats,
-            })
-        } else {
-            db.truncate_events_for(&touched_list);
-            Ok(CommitOutcome::Rejected { violations, stats })
+            return Ok(CommitOutcome::Rejected { violations, stats });
         }
+        let (inserted, deleted) = db.pending_counts_for(&touched_list);
+        if !nothing_pending(&stats.normalization, &touched_list) {
+            let ts = db.next_commit_ts();
+            let applied = db.apply_pending_versioned_for(&touched_list, ts);
+            db.truncate_events_for(&touched_list);
+            applied?;
+            db.publish_commit(ts);
+            db.maybe_gc_for(&touched_list, ts);
+        }
+        Ok(CommitOutcome::Committed {
+            inserted,
+            deleted,
+            stats,
+        })
     }
 
-    /// Non-incremental baseline: apply the pending update, run the original
-    /// assertion queries on the updated database, and undo if any violation
-    /// shows up. `query_time` isolates the cost the paper compares against.
+    /// Non-incremental baseline: apply the pending update as row versions,
+    /// run the original assertion queries on the updated state, and publish
+    /// the commit if they find nothing or withdraw the versions if they
+    /// find a violation (which leaves [`Database::mvcc_stats`] as it was).
+    /// `query_time` isolates the cost the paper compares against. Like
+    /// [`Tintin::safe_commit`] it leaves the clock alone when nothing is
+    /// pending — recovery runs it on an event-free database to verify the
+    /// replayed state, and must not move the replayed clock.
     pub fn full_recheck(
         &self,
         db: &mut Database,
         installation: &Installation,
     ) -> Result<FullRecheckOutcome> {
-        db.normalize_events()?;
-        let log = db.apply_pending()?;
+        let (normalization, touched_list) = db.normalize_events_touched()?;
+        let ts = db.next_commit_ts();
+        let applied = match db.apply_pending_versioned_for(&touched_list, ts) {
+            Ok(applied) => applied,
+            Err(e) => {
+                db.truncate_events_for(&touched_list);
+                return Err(e.into());
+            }
+        };
         let t0 = Instant::now();
+        let violations = match self.original_query_violations(db, installation) {
+            Ok(violations) => violations,
+            Err(e) => {
+                db.unapply_pending_versioned(applied);
+                db.truncate_events_for(&touched_list);
+                return Err(e);
+            }
+        };
+        let query_time = t0.elapsed();
+        let committed = violations.is_empty();
+        if !committed {
+            db.unapply_pending_versioned(applied);
+        }
+        db.truncate_events_for(&touched_list);
+        if committed && !nothing_pending(&normalization, &touched_list) {
+            db.publish_commit(ts);
+            db.maybe_gc_for(&touched_list, ts);
+        }
+        Ok(FullRecheckOutcome {
+            committed,
+            violations,
+            query_time,
+        })
+    }
+
+    /// The original assertion queries' violating tuples on the live state
+    /// ([`tintin_engine::TS_LATEST`], which includes versions stamped with
+    /// a not-yet-published timestamp).
+    fn original_query_violations(
+        &self,
+        db: &Database,
+        installation: &Installation,
+    ) -> Result<Vec<Violation>> {
         let mut violations = Vec::new();
         for a in &installation.assertions {
             for (qi, q) in a.original_queries.iter().enumerate() {
@@ -1141,17 +1216,7 @@ impl Tintin {
                 }
             }
         }
-        let query_time = t0.elapsed();
-        let committed = violations.is_empty();
-        if !committed {
-            db.undo(log);
-        }
-        db.truncate_events();
-        Ok(FullRecheckOutcome {
-            committed,
-            violations,
-            query_time,
-        })
+        Ok(violations)
     }
 
     /// Run the original (non-incremental) assertion queries against the
@@ -1171,6 +1236,16 @@ impl Tintin {
         }
         Ok(out)
     }
+}
+
+/// Were the event tables empty before normalization? Normalization counts
+/// every event it drops, so nothing touched after it and nothing dropped by
+/// it means nothing was staged — the single-owner twin of the server's
+/// no-op commit (an empty transaction), which leaves the clock alone. An
+/// update that was staged but normalizes away still commits at a fresh
+/// timestamp, as it does on the server.
+fn nothing_pending(normalization: &NormalizationReport, touched: &[TouchedTable]) -> bool {
+    touched.is_empty() && normalization.total() == 0
 }
 
 /// Is a residual gate open — does its event table hold at least one row

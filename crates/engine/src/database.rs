@@ -8,9 +8,21 @@
 //! record the tuples in auxiliary `ins_T` / `del_T` tables. Here the same
 //! behaviour is provided natively: [`Database::enable_capture`] creates the
 //! event tables, and while capture is enabled, DML against the base table is
-//! redirected to them. `apply_pending` / `truncate_events` implement the
-//! commit / reset steps of the `safeCommit` procedure, and `undo` supports
-//! the non-incremental baseline used in the experiments.
+//! redirected to them.
+//!
+//! # Committing
+//!
+//! There is one commit mechanism: row-version MVCC.
+//! [`Database::normalize_events_touched`] makes the staged events
+//! consistent with the base tables, [`Database::apply_pending_versioned_for`]
+//! stamps them into the base tables as versions of the next commit
+//! timestamp, [`Database::truncate_events_for`] resets the event tables and
+//! [`Database::publish_commit`] makes the timestamp visible. Until it is
+//! published, [`Database::unapply_pending_versioned`] withdraws the apply —
+//! which is how a rejected non-incremental recheck backs out. Session
+//! commits, recovery replay and the single-owner `safeCommit` all run this
+//! sequence; an open session transaction lives in its private
+//! [`TxOverlay`], not in the database.
 
 use crate::error::{EngineError, Result};
 use crate::hash::{FxHashMap, FxHashSet};
@@ -98,77 +110,6 @@ pub struct EventSnapshot {
     tables: Vec<(String, Table)>,
 }
 
-/// Undo log of row-level mutations; reversing it restores the pre-mutation
-/// state exactly. Returned by [`Database::apply_pending`], and also the
-/// building block of the transaction savepoint stack: while a transaction is
-/// open every mutation (event capture *and* direct writes to uncaptured
-/// tables) is appended to the transaction's log, and a savepoint is simply
-/// an offset into it.
-#[derive(Debug, Default, Clone)]
-pub struct UndoLog {
-    ops: Vec<UndoOp>,
-}
-
-#[derive(Debug, Clone)]
-enum UndoOp {
-    /// A row was inserted. The row is kept alongside the id so the op can
-    /// still be reversed when a later compensating action shifted row ids
-    /// (undo falls back to identity lookup).
-    Inserted {
-        table: String,
-        id: RowId,
-        row: Row,
-    },
-    Deleted {
-        table: String,
-        row: Row,
-    },
-}
-
-impl UndoLog {
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Split off the suffix starting at `at`, leaving `self` with the
-    /// prefix (the savepoint-rollback primitive).
-    fn split_off(&mut self, at: usize) -> UndoLog {
-        UndoLog {
-            ops: self.ops.split_off(at),
-        }
-    }
-}
-
-/// State of an open transaction: one [`UndoLog`] accumulating every
-/// mutation since `BEGIN`, plus the savepoint stack — each savepoint is a
-/// name and the log length at the time it was established.
-#[derive(Debug, Default, Clone)]
-struct TxState {
-    undo: UndoLog,
-    savepoints: Vec<(String, usize)>,
-}
-
-impl TxState {
-    fn log_ins(&mut self, table: &str, id: RowId, row: Row) {
-        self.undo.ops.push(UndoOp::Inserted {
-            table: table.to_string(),
-            id,
-            row,
-        });
-    }
-
-    fn log_del(&mut self, table: &str, row: Row) {
-        self.undo.ops.push(UndoOp::Deleted {
-            table: table.to_string(),
-            row,
-        });
-    }
-}
-
 /// Statistics from event normalization (see
 /// [`Database::normalize_events`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -248,8 +189,6 @@ pub struct Database {
     tables: FxHashMap<String, Table>,
     views: FxHashMap<String, ViewDef>,
     captured: FxHashSet<String>,
-    /// Open explicit transaction, if any (see [`Database::begin_transaction`]).
-    tx: Option<TxState>,
     /// Catalog generation: bumped (to a globally unique value) on every
     /// DDL / capture change. Plan caches key on it — see [`PreparedQuery`].
     catalog_generation: u64,
@@ -274,7 +213,7 @@ impl Database {
     /// The current catalog generation. It moves (to a globally unique
     /// value) whenever the catalog changes — tables, views or indexes
     /// created or dropped, capture enabled or disabled — and is stable
-    /// across pure data changes (DML, event staging, apply/undo). Compiled
+    /// across pure data changes (DML, event staging, commits). Compiled
     /// plans are valid exactly as long as the generation they were compiled
     /// at matches; [`PreparedQuery`] automates that check.
     pub fn catalog_generation(&self) -> u64 {
@@ -574,113 +513,6 @@ impl Database {
         Ok(())
     }
 
-    // ------------------------------------------------------- transactions
-
-    /// Open an explicit transaction. While a transaction is open, every
-    /// row-level mutation — event-table insertions performed by capture as
-    /// well as direct writes to uncaptured tables — is recorded in an
-    /// [`UndoLog`], so the whole transaction (or any suffix back to a
-    /// savepoint) can be reversed. DDL is *not* logged; transactional
-    /// callers (the `tintin-session` crate) reject DDL while a transaction
-    /// is open.
-    pub fn begin_transaction(&mut self) -> Result<()> {
-        if self.tx.is_some() {
-            return Err(EngineError::Transaction(
-                "a transaction is already open".into(),
-            ));
-        }
-        self.tx = Some(TxState::default());
-        Ok(())
-    }
-
-    /// Is an explicit transaction open?
-    pub fn in_transaction(&self) -> bool {
-        self.tx.is_some()
-    }
-
-    /// Number of logged mutations in the open transaction (0 when none).
-    pub fn transaction_op_count(&self) -> usize {
-        self.tx.as_ref().map_or(0, |t| t.undo.len())
-    }
-
-    /// Names of the live savepoints of the open transaction, oldest first.
-    pub fn savepoint_names(&self) -> Vec<String> {
-        self.tx
-            .as_ref()
-            .map(|t| t.savepoints.iter().map(|(n, _)| n.clone()).collect())
-            .unwrap_or_default()
-    }
-
-    /// Close the open transaction, keeping its effects. The caller decides
-    /// what "keeping" means for pending events (TINTIN's `safeCommit`
-    /// either applies or discards them); this just drops the undo log.
-    pub fn commit_transaction(&mut self) -> Result<()> {
-        self.tx
-            .take()
-            .map(|_| ())
-            .ok_or_else(|| EngineError::Transaction("no transaction is open".into()))
-    }
-
-    /// Abort the open transaction, reversing every mutation made since
-    /// `BEGIN` (base tables *and* event tables are restored).
-    pub fn rollback_transaction(&mut self) -> Result<()> {
-        let tx = self
-            .tx
-            .take()
-            .ok_or_else(|| EngineError::Transaction("no transaction is open".into()))?;
-        self.undo(tx.undo);
-        Ok(())
-    }
-
-    /// Establish (or move, if the name is taken) a savepoint in the open
-    /// transaction.
-    pub fn create_savepoint(&mut self, name: &str) -> Result<()> {
-        let tx = self
-            .tx
-            .as_mut()
-            .ok_or_else(|| EngineError::Transaction("no transaction is open".into()))?;
-        let mark = tx.undo.len();
-        tx.savepoints.retain(|(n, _)| n != name);
-        tx.savepoints.push((name.to_string(), mark));
-        Ok(())
-    }
-
-    /// Reverse every mutation made after `name` was established. The
-    /// savepoint itself survives (standard SQL semantics); savepoints
-    /// established after it are discarded.
-    pub fn rollback_to_savepoint(&mut self, name: &str) -> Result<()> {
-        let tx = self
-            .tx
-            .as_mut()
-            .ok_or_else(|| EngineError::Transaction("no transaction is open".into()))?;
-        let pos = tx
-            .savepoints
-            .iter()
-            .rposition(|(n, _)| n == name)
-            .ok_or_else(|| EngineError::NoSuchSavepoint(name.to_string()))?;
-        let mark = tx.savepoints[pos].1;
-        tx.savepoints.truncate(pos + 1);
-        let tail = tx.undo.split_off(mark);
-        self.undo(tail);
-        Ok(())
-    }
-
-    /// Discard a savepoint (and any later ones), merging its changes into
-    /// the enclosing scope.
-    pub fn release_savepoint(&mut self, name: &str) -> Result<()> {
-        let tx = self
-            .tx
-            .as_mut()
-            .ok_or_else(|| EngineError::Transaction("no transaction is open".into()))?;
-        let pos = tx
-            .savepoints
-            .iter()
-            .rposition(|(n, _)| n == name)
-            .ok_or_else(|| EngineError::NoSuchSavepoint(name.to_string()))?;
-        tx.savepoints.truncate(pos);
-        Ok(())
-    }
-
     /// Pending event counts `(inserts, deletes)` summed over all captured
     /// tables, counting every live event row (including another commit's
     /// in-flight staging — see [`Database::pending_counts_at`]).
@@ -846,97 +678,6 @@ impl Database {
             }
         }
         Ok((report, post))
-    }
-
-    /// Apply all pending events to the base tables (deletes first, then
-    /// inserts) and return an undo log. Deletion events have set semantics:
-    /// one `del_T` row removes *every* identical base row, matching what
-    /// the read-your-writes overlay hides during the transaction. On
-    /// failure (e.g. a primary-key conflict) the partial application is
-    /// rolled back and the events are left untouched.
-    pub fn apply_pending(&mut self) -> Result<UndoLog> {
-        let touched = self.touched_event_tables();
-        self.apply_pending_for(&touched)
-    }
-
-    /// [`Database::apply_pending`] over a caller-supplied touched list
-    /// (from [`Database::normalize_events_touched`]), so the commit path
-    /// does not re-scan the captured set. Entries whose event tables have
-    /// since emptied are harmless; tables missing from the list are *not*
-    /// applied.
-    pub fn apply_pending_for(&mut self, touched: &[TouchedTable]) -> Result<UndoLog> {
-        let mut log = UndoLog::default();
-        let result = (|| -> Result<()> {
-            for (_, _, base_name) in touched.iter().filter(|(_, has_del, _)| *has_del) {
-                let del_rows: Vec<Row> = self.tables[&del_table_name(base_name)]
-                    .scan()
-                    .map(|(_, r)| r.clone())
-                    .collect();
-                let base = self.tables.get_mut(base_name).unwrap();
-                for row in del_rows {
-                    while let Some(id) = base.find_identical(&row) {
-                        base.delete_row(id);
-                        log.ops.push(UndoOp::Deleted {
-                            table: base_name.clone(),
-                            row: row.clone(),
-                        });
-                    }
-                }
-            }
-            for (_, _, base_name) in touched.iter().filter(|(has_ins, _, _)| *has_ins) {
-                let ins_rows: Vec<Row> = self.tables[&ins_table_name(base_name)]
-                    .scan()
-                    .map(|(_, r)| r.clone())
-                    .collect();
-                let base = self.tables.get_mut(base_name).unwrap();
-                for row in ins_rows {
-                    let id = base.insert(row.to_vec())?;
-                    log.ops.push(UndoOp::Inserted {
-                        table: base_name.clone(),
-                        id,
-                        row,
-                    });
-                }
-            }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => Ok(log),
-            Err(e) => {
-                self.undo(log);
-                Err(e)
-            }
-        }
-    }
-
-    /// Reverse an [`UndoLog`], restoring the exact pre-mutation state.
-    pub fn undo(&mut self, log: UndoLog) {
-        for op in log.ops.into_iter().rev() {
-            match op {
-                UndoOp::Inserted { table, id, row } => {
-                    let t = self
-                        .tables
-                        .get_mut(&table)
-                        .expect("undo references live table");
-                    // The id is authoritative unless a compensating action
-                    // (e.g. a failed UPDATE restoring its rows) reassigned
-                    // it; fall back to identity lookup, and tolerate rows
-                    // that were already removed (event normalization).
-                    if t.get(id).is_some_and(|r| *r == row) {
-                        t.delete_row(id);
-                    } else if let Some(id2) = t.find_identical(&row) {
-                        t.delete_row(id2);
-                    }
-                }
-                UndoOp::Deleted { table, row } => {
-                    self.tables
-                        .get_mut(&table)
-                        .expect("undo references live table")
-                        .insert(row.into_vec())
-                        .expect("re-inserting a previously deleted row cannot fail");
-                }
-            }
-        }
     }
 
     /// Empty all event tables (the last step of `safeCommit`). Already-empty
@@ -1639,37 +1380,20 @@ impl Database {
         self.apply_validated_inserts(table, validated)
     }
 
-    /// Apply already-validated rows to `table`, honouring event capture and
-    /// the open engine transaction's undo log.
+    /// Apply already-validated rows to `table`, honouring event capture.
     fn apply_validated_inserts(&mut self, table: &str, validated: Vec<Row>) -> Result<usize> {
         let n = validated.len();
-        let is_captured = self.captured.contains(table);
-        let Database { tables, tx, .. } = self;
-        if is_captured {
-            let evt_name = ins_table_name(table);
-            let evt = tables
-                .get_mut(&evt_name)
-                .expect("capture implies event table");
-            for row in validated {
-                // The row is only cloned when a transaction needs it for
-                // the undo log; otherwise it moves straight into storage.
-                if let Some(tx) = tx.as_mut() {
-                    let id = evt.insert_row_at(row.clone(), 0)?;
-                    tx.log_ins(&evt_name, id, row);
-                } else {
-                    evt.insert_row_at(row, 0)?;
-                }
-            }
+        let target = if self.captured.contains(table) {
+            ins_table_name(table)
         } else {
-            let t = tables.get_mut(table).unwrap();
-            for row in validated {
-                if let Some(tx) = tx.as_mut() {
-                    let id = t.insert_row_at(row.clone(), 0)?;
-                    tx.log_ins(table, id, row);
-                } else {
-                    t.insert_row_at(row, 0)?;
-                }
-            }
+            table.to_string()
+        };
+        let t = self
+            .tables
+            .get_mut(&target)
+            .expect("validated rows name an existing table, and capture implies its event table");
+        for row in validated {
+            t.insert_row_at(row, 0)?;
         }
         Ok(n)
     }
@@ -1731,31 +1455,21 @@ impl Database {
             }
         };
         let n = matching.len();
-        let is_captured = self.captured.contains(&del.table);
-        let Database { tables, tx, .. } = self;
-        if is_captured {
-            let evt_name = del_table_name(&del.table);
-            let evt = tables
-                .get_mut(&evt_name)
+        if self.captured.contains(&del.table) {
+            let evt = self
+                .tables
+                .get_mut(&del_table_name(&del.table))
                 .expect("capture implies event table");
             for (_, row) in matching {
                 // Avoid duplicate capture of the same tuple.
                 if evt.find_identical(&row).is_none() {
-                    if let Some(tx) = tx.as_mut() {
-                        let id = evt.insert(row.to_vec())?;
-                        tx.log_ins(&evt_name, id, row);
-                    } else {
-                        evt.insert(row.into_vec())?;
-                    }
+                    evt.insert(row.into_vec())?;
                 }
             }
         } else {
-            let t = tables.get_mut(&del.table).unwrap();
-            for (id, row) in matching {
+            let t = self.tables.get_mut(&del.table).unwrap();
+            for (id, _) in matching {
                 t.delete_row(id);
-                if let Some(tx) = tx.as_mut() {
-                    tx.log_del(&del.table, row);
-                }
             }
         }
         Ok(n)
@@ -1839,54 +1553,29 @@ impl Database {
             // Record del(old) + ins(new) events; skip no-op rows.
             let del_name = del_table_name(&upd.table);
             let ins_name = ins_table_name(&upd.table);
-            let logging = self.tx.is_some();
             for ((_, old, _), new) in replacements.iter().zip(validated) {
                 if old.as_ref() == new.as_ref() {
                     continue;
                 }
                 let del = self.tables.get_mut(&del_name).unwrap();
                 if del.find_identical(old).is_none() {
-                    let id = del.insert(old.to_vec())?;
-                    if let Some(tx) = self.tx.as_mut() {
-                        tx.log_ins(&del_name, id, old.clone());
-                    }
+                    del.insert(old.to_vec())?;
                 }
                 let ins = self.tables.get_mut(&ins_name).unwrap();
-                if logging {
-                    let id = ins.insert(new.to_vec())?;
-                    if let Some(tx) = self.tx.as_mut() {
-                        tx.log_ins(&ins_name, id, new);
-                    }
-                } else {
-                    ins.insert(new.into_vec())?;
-                }
+                ins.insert(new.into_vec())?;
             }
         } else {
             // Two-phase apply so key-shifting updates (pk = pk + 1) don't
-            // trip over themselves; rolls back on any conflict. The undo
-            // log is only written on full success: a failed statement has
-            // already compensated itself back to a net no-op.
-            let logging = self.tx.is_some();
+            // trip over themselves; rolls back on any conflict, so a failed
+            // statement is a net no-op.
             let t = self.tables.get_mut(&upd.table).unwrap();
             for (id, _, _) in &replacements {
                 t.delete_row(*id);
             }
             let mut inserted: Vec<RowId> = Vec::new();
-            let mut kept: Vec<Row> = Vec::new();
             let mut failure: Option<EngineError> = None;
             for new in validated {
-                // Rows are cloned only when a transaction keeps them for
-                // the undo log.
-                let result = if logging {
-                    let r = t.insert(new.to_vec());
-                    if r.is_ok() {
-                        kept.push(new);
-                    }
-                    r
-                } else {
-                    t.insert(new.into_vec())
-                };
-                match result {
+                match t.insert(new.into_vec()) {
                     Ok(id) => inserted.push(id),
                     Err(e) => {
                         failure = Some(e);
@@ -1903,14 +1592,6 @@ impl Database {
                         .expect("restoring original rows cannot fail");
                 }
                 return Err(e);
-            }
-            if let Some(tx) = self.tx.as_mut() {
-                for (_, old, _) in replacements {
-                    tx.log_del(&upd.table, old);
-                }
-                for (id, new) in inserted.into_iter().zip(kept) {
-                    tx.log_ins(&upd.table, id, new);
-                }
             }
         }
         Ok(n)

@@ -51,8 +51,6 @@ pub enum EngineError {
         /// What raced: the stale deletion or the post-snapshot key.
         detail: String,
     },
-    /// `ROLLBACK TO` / `RELEASE` named a savepoint that does not exist.
-    NoSuchSavepoint(String),
 }
 
 impl fmt::Display for EngineError {
@@ -91,7 +89,6 @@ impl fmt::Display for EngineError {
                     "serialization conflict on {table}: {detail} (retry the transaction)"
                 )
             }
-            EngineError::NoSuchSavepoint(n) => write!(f, "no such savepoint: '{n}'"),
         }
     }
 }

@@ -12,9 +12,9 @@
 //! * **event capture** — the `INSTEAD OF` trigger equivalent: once enabled
 //!   for a table, `INSERT`/`DELETE` statements are redirected into `ins_T` /
 //!   `del_T` event tables, leaving the base table untouched;
-//! * the engine half of `safeCommit`: event normalization, the
-//!   apply/undo/truncate primitives, and efficient evaluation of the
-//!   generated incremental views;
+//! * the engine half of `safeCommit`: event normalization, the versioned
+//!   apply / withdraw / truncate / publish primitives every commit path
+//!   runs, and efficient evaluation of the generated incremental views;
 //! * **concurrency primitives** — row-version MVCC: every stored row
 //!   carries `(begin, end)` commit-timestamp stamps and readers filter
 //!   versions by snapshot visibility instead of blocking behind commits
@@ -70,7 +70,7 @@ pub mod value;
 pub use copy::CopyOptions;
 pub use database::{
     del_table_name, ins_table_name, AppliedVersions, Database, EventSnapshot, MvccStats,
-    NormalizationReport, StatementResult, TouchedTable, UndoLog,
+    NormalizationReport, StatementResult, TouchedTable,
 };
 pub use error::{EngineError, Result};
 pub use overlay::{DmlDelta, TableDelta, TxOverlay};

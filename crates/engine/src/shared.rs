@@ -36,9 +36,10 @@
 //!
 //! Lock poisoning is deliberately recovered from ([`PoisonError::into_inner`]):
 //! every multi-step mutation in the engine either completes or compensates
-//! (undo logs, version un-stamping, rollback-on-error installs), and the
-//! commit path truncates the event tables on any failure — so the database
-//! a panicking thread leaves behind is still structurally consistent.
+//! (self-compensating statements, version un-stamping, rollback-on-error
+//! installs), and the commit path truncates the event tables on any
+//! failure — so the database a panicking thread leaves behind is still
+//! structurally consistent.
 
 use crate::database::Database;
 use std::collections::BTreeMap;

@@ -20,8 +20,8 @@
 //!
 //! * [`Table::delete_row`] **physically** removes a version (index entries
 //!   dropped, slot freed). This is the right tool for transient storage that
-//!   no snapshot ever re-reads — event tables, undo compensation, bulk
-//!   maintenance on an exclusively owned database.
+//!   no snapshot ever re-reads — event tables, withdrawing an unpublished
+//!   apply, bulk maintenance on an exclusively owned database.
 //! * [`Table::delete_row_at`] **stamps** a live version dead at a commit
 //!   timestamp. The version (and its index entries) stays behind for older
 //!   snapshots until [`Table::gc`] prunes it once no live snapshot can see
@@ -487,8 +487,8 @@ impl Table {
     /// Physically remove a version by id, returning its row. Index entries
     /// are dropped and the slot is freed immediately — older snapshots lose
     /// the version too, so this is only safe for storage no snapshot
-    /// re-reads (event tables, undo compensation, exclusively owned
-    /// databases). The MVCC commit path uses [`Table::delete_row_at`].
+    /// re-reads (event tables, withdrawing an unpublished apply, exclusively
+    /// owned databases). The MVCC commit path uses [`Table::delete_row_at`].
     pub fn delete_row(&mut self, id: RowId) -> Option<Row> {
         let version = self.free_slot(id)?;
         if version.is_live() {

@@ -25,16 +25,26 @@ fn prepared_query_caches_across_data_changes() {
         !p.resolve(&db).unwrap().recompiled,
         "prepare() warms the cache"
     );
-    // DML, event staging, apply and undo are data changes: the plan stays.
+    // DML, event staging and versioned commits (published or withdrawn)
+    // are data changes: the plan stays.
     db.execute_sql("INSERT INTO t VALUES (1, 10), (2, 20)")
         .unwrap();
     assert!(!p.resolve(&db).unwrap().recompiled);
     db.enable_capture("t").unwrap(); // catalog change (event tables appear)
     assert!(p.resolve(&db).unwrap().recompiled);
     db.execute_sql("INSERT INTO t VALUES (3, 30)").unwrap(); // captured: data only
-    let log = db.apply_pending().unwrap();
-    db.undo(log);
-    db.truncate_events();
+    let (_, touched) = db.normalize_events_touched().unwrap();
+    let ts = db.next_commit_ts();
+    let applied = db.apply_pending_versioned_for(&touched, ts).unwrap();
+    db.unapply_pending_versioned(applied);
+    db.truncate_events_for(&touched);
+    assert!(!p.resolve(&db).unwrap().recompiled);
+    db.execute_sql("DELETE FROM t WHERE a = 2").unwrap();
+    let (_, touched) = db.normalize_events_touched().unwrap();
+    db.apply_pending_versioned_for(&touched, ts).unwrap();
+    db.truncate_events_for(&touched);
+    db.publish_commit(ts);
+    db.gc_versions(ts);
     assert!(!p.resolve(&db).unwrap().recompiled);
     let rs = db.query_prepared(&p).unwrap();
     assert_eq!(rs.rows[0][0], Value::Int(10));

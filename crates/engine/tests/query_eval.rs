@@ -383,13 +383,17 @@ fn event_capture_redirects_dml() {
     // Events are queryable like tables (TINTIN's views rely on this).
     assert_eq!(ints(&db, "SELECT o_orderkey FROM ins_orders"), vec![4]);
 
-    // Apply and verify.
-    let log = db.apply_pending().unwrap();
+    // Apply as versions of the next commit timestamp and verify.
+    let (_, touched) = db.normalize_events_touched().unwrap();
+    let applied = db
+        .apply_pending_versioned_for(&touched, db.next_commit_ts())
+        .unwrap();
     assert_eq!(db.table("orders").unwrap().len(), 4);
     assert_eq!(db.table("lineitem").unwrap().len(), 1);
 
-    // Undo restores exactly.
-    db.undo(log);
+    // Withdrawing the unpublished apply restores exactly.
+    db.unapply_pending_versioned(applied);
+    assert_eq!(db.current_ts(), 0);
     assert_eq!(db.table("orders").unwrap().len(), 3);
     assert_eq!(db.table("lineitem").unwrap().len(), 3);
     assert_eq!(
@@ -433,14 +437,17 @@ fn normalization_cancels_and_dedups() {
     db.execute_sql("DELETE FROM orders WHERE o_orderkey = 2")
         .unwrap();
 
-    let report = db.normalize_events().unwrap();
+    let (report, touched) = db.normalize_events_touched().unwrap();
     assert_eq!(report.dup_ins, 1, "duplicate insert of order 7");
     assert_eq!(report.cancelled, 1, "delete+reinsert of order 1 cancels");
     // After normalization: ins = {7}, del = {2}.
     assert_eq!(ints(&db, "SELECT o_orderkey FROM ins_orders"), vec![7]);
     assert_eq!(ints(&db, "SELECT o_orderkey FROM del_orders"), vec![2]);
 
-    let _ = db.apply_pending().unwrap();
+    let ts = db.next_commit_ts();
+    db.apply_pending_versioned_for(&touched, ts).unwrap();
+    db.truncate_events_for(&touched);
+    db.publish_commit(ts);
     assert_eq!(ints(&db, "SELECT o_orderkey FROM orders"), vec![1, 3, 7]);
 }
 
@@ -453,13 +460,19 @@ fn apply_rolls_back_on_pk_conflict() {
         .unwrap();
     db.execute_sql("INSERT INTO orders VALUES (5, 50, 5.0)")
         .unwrap();
-    let err = db.apply_pending().unwrap_err();
+    let (_, touched) = db.normalize_events_touched().unwrap();
+    let err = db
+        .apply_pending_versioned_for(&touched, db.next_commit_ts())
+        .unwrap_err();
     assert!(matches!(
         err,
         tintin_engine::EngineError::UniqueViolation { .. }
     ));
-    // Rollback left the base table untouched.
+    // The partial apply was un-stamped: base rows and the clock untouched.
+    assert_eq!(db.current_ts(), 0);
+    assert_eq!(db.mvcc_stats().dead_versions, 0);
     assert_eq!(db.table("orders").unwrap().len(), 3);
+    assert_eq!(ints(&db, "SELECT o_orderkey FROM orders"), vec![1, 2, 3]);
     assert_eq!(
         ints(&db, "SELECT o_custkey FROM orders WHERE o_orderkey = 1"),
         vec![10]

@@ -126,8 +126,11 @@ fn captured_update_records_del_and_ins_events() {
     );
 
     // Applying the events realizes the update.
-    db.normalize_events().unwrap();
-    db.apply_pending().unwrap();
+    let (_, touched) = db.normalize_events_touched().unwrap();
+    let ts = db.next_commit_ts();
+    db.apply_pending_versioned_for(&touched, ts).unwrap();
+    db.truncate_events_for(&touched);
+    db.publish_commit(ts);
     assert_eq!(
         vals(&db, "SELECT val FROM t WHERE grp = 10"),
         vec![Value::real(0.0), Value::real(0.0)]

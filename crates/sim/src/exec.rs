@@ -16,7 +16,9 @@
 //! deliberate: under snapshot isolation a predicate UPDATE re-planned on
 //! the mirror could match different rows than it matched on the
 //! committer's snapshot (a phantom), so the mirror replays exactly what
-//! the committer staged.
+//! the committer staged. The full recheck commits through the server's
+//! own versioned apply / publish primitives, so the mirror is the same
+//! commit code run by a single owner, not a second implementation.
 
 use std::sync::{Arc, Mutex, PoisonError};
 

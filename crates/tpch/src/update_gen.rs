@@ -232,6 +232,16 @@ mod tests {
         (db, gen.counts())
     }
 
+    /// Commit the captured batch unchecked, through the versioned apply
+    /// every commit path uses.
+    fn commit_pending(db: &mut Database) {
+        let (_, touched) = db.normalize_events_touched().unwrap();
+        let ts = db.next_commit_ts();
+        db.apply_pending_versioned_for(&touched, ts).unwrap();
+        db.truncate_events_for(&touched);
+        db.publish_commit(ts);
+    }
+
     #[test]
     fn valid_batch_hits_target_size() {
         let (mut db, counts) = captured_db(0.0005);
@@ -248,8 +258,7 @@ mod tests {
         let (mut db, counts) = captured_db(0.0005);
         let mut ug = UpdateGen::new(counts, 11);
         ug.valid_batch(&mut db, 5_000);
-        db.normalize_events().unwrap();
-        db.apply_pending().unwrap();
+        commit_pending(&mut db);
         let empty_orders = db
             .query_sql(
                 "SELECT * FROM orders o WHERE NOT EXISTS (
@@ -267,8 +276,7 @@ mod tests {
         let (mut db, counts) = captured_db(0.0005);
         let mut ug = UpdateGen::new(counts, 13);
         ug.violating_batch(&mut db, 2_000, 3);
-        db.normalize_events().unwrap();
-        db.apply_pending().unwrap();
+        commit_pending(&mut db);
         let empty_orders = db
             .query_sql(
                 "SELECT * FROM orders o WHERE NOT EXISTS (

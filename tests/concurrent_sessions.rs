@@ -335,7 +335,7 @@ fn stale_delete_surfaces_as_conflict_not_lost_update() {
     assert_eq!(rs.rows[0][0], Value::Int(12));
 }
 
-/// The MVCC acceptance criterion, demonstrated directly: a `SELECT` in an
+/// The MVCC guarantee, demonstrated directly: a `SELECT` in an
 /// open transaction completes — returning its `BEGIN`-time snapshot —
 /// while another session's checked `COMMIT` is *in flight* (its check
 /// phase entered, its decision not yet published). Under the old

@@ -158,18 +158,16 @@ fn relevance_index_skips_untouched_checks_and_reuses_plans() {
     let StatementOutcome::Committed { stats, .. } = out.last().unwrap() else {
         panic!("expected commit, got {:?}", out.last());
     };
-    // t5's own check must at least be *considered* — it survives the
-    // relevance index, and the residual gate (v < 0, which the valid
-    // insert cannot satisfy) may then skip its full plan.
-    assert!(
-        stats.views_evaluated + stats.views_skipped_residual >= 1,
-        "t5's own check must survive the relevance index: {stats:?}"
+    // The prunable regime: t5's own check survives the relevance index,
+    // and its residual gate (v < 0, which the valid insert cannot satisfy)
+    // then skips the full plan — so no view is evaluated at all.
+    assert_eq!(
+        stats.views_skipped_residual, 1,
+        "t5's own check must survive the relevance index and stop at its residual gate: {stats:?}"
     );
-    assert!(
-        stats.views_evaluated < stats.views_total / 2,
-        "a one-table update must not evaluate most of {} views (got {})",
-        stats.views_total,
-        stats.views_evaluated
+    assert_eq!(
+        stats.views_evaluated, 0,
+        "the residual gate must spare the one relevant view: {stats:?}"
     );
     assert_eq!(
         stats.views_skipped_relevance + stats.views_skipped_residual + stats.views_evaluated,

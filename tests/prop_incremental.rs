@@ -186,7 +186,7 @@ fn captured_db(initial: &InitialState, ops: &[Op]) -> Database {
     db
 }
 
-/// Dedupe insert ops by key so apply_pending cannot hit PK conflicts among
+/// Dedupe insert ops by key so the apply cannot hit PK conflicts among
 /// the new rows themselves, and drop inserts whose key already exists in the
 /// initial state with different attributes.
 fn sanitize_ops(ops: Vec<Op>, initial: &InitialState) -> Vec<Op> {
@@ -219,13 +219,15 @@ fn sanitize_ops(ops: Vec<Op>, initial: &InitialState) -> Vec<Op> {
         .collect()
 }
 
-/// Ground truth: apply the captured events (same INSTEAD-OF semantics the
-/// incremental checker sees) and run the original assertion queries on the
-/// updated state.
+/// Ground truth: apply the captured events as versions of the next commit
+/// timestamp (same INSTEAD-OF semantics the incremental checker sees) and
+/// run the original assertion queries on the updated live state.
 fn ground_truth(base: &Database) -> Vec<bool> {
     let mut db = base.clone();
-    db.normalize_events().unwrap();
-    db.apply_pending().expect("sanitized batches apply cleanly");
+    let (_, touched) = db.normalize_events_touched().unwrap();
+    let ts = db.next_commit_ts();
+    db.apply_pending_versioned_for(&touched, ts)
+        .expect("sanitized batches apply cleanly");
     ASSERTIONS
         .iter()
         .map(|a| {

@@ -241,11 +241,14 @@ fn dml(seed: &[(u8, i64, i64, i64)], db: &mut Database) {
     }
 }
 
-/// Does the updated state violate? Ground truth over a clone.
+/// Does the updated state violate? Ground truth over a clone: the events
+/// applied as versions of the next commit timestamp, the original query run
+/// on the live state.
 fn ground_truth(base: &Database, assertion_sql: &str) -> Option<bool> {
     let mut db = base.clone();
-    db.normalize_events().unwrap();
-    if db.apply_pending().is_err() {
+    let (_, touched) = db.normalize_events_touched().unwrap();
+    let ts = db.next_commit_ts();
+    if db.apply_pending_versioned_for(&touched, ts).is_err() {
         return None; // PK conflict among events: skip case
     }
     let tintin_sql::Statement::CreateAssertion(a) =
