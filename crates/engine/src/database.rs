@@ -25,8 +25,8 @@
 //! [`TxOverlay`], not in the database.
 
 use crate::error::{EngineError, Result};
-use crate::hash::{FxHashMap, FxHashSet};
-use crate::overlay::{hash_values, DmlDelta, SlotIndex, TableDelta, TxOverlay};
+use crate::hash::{FxHashMap, FxHashSet, SlotIndex};
+use crate::overlay::{DmlDelta, TableDelta, TxOverlay};
 use crate::prepared::PreparedQuery;
 use crate::query::{self};
 use crate::query::{compile_query, CompiledQuery, ExecCtx};
@@ -858,11 +858,11 @@ impl Database {
                 }
             }
             for row in delta.ins_rows() {
-                for ix in t.indexes().iter().filter(|ix| ix.unique) {
-                    let Some(ids) = ix.probe_row(row) else {
+                for (n, ix) in t.indexes().iter().enumerate().filter(|(_, ix)| ix.unique) {
+                    let Some(ids) = t.probe_row(n, row) else {
                         continue;
                     };
-                    for &id in ids {
+                    for id in ids {
                         let Some(base) = t.get(id) else { continue };
                         // Rows this transaction itself deletes free their
                         // keys; identical rows visible at the snapshot were
@@ -870,18 +870,13 @@ impl Database {
                         if delta.hides(base) {
                             continue;
                         }
-                        let key = || {
-                            crate::table::format_key(
-                                &ix.key_of(row).expect("probed key is non-NULL"),
-                            )
-                        };
                         if t.get_at(id, snapshot).is_none() {
                             return conflict(
                                 &table,
                                 format!(
                                     "key {} was inserted by a concurrent commit \
                                      after this transaction began",
-                                    key()
+                                    ix.format_key(row)
                                 ),
                             );
                         }
@@ -892,7 +887,7 @@ impl Database {
                             return Err(EngineError::UniqueViolation {
                                 table: table.clone(),
                                 index: ix.name.clone(),
-                                key: key(),
+                                key: ix.format_key(row),
                             });
                         }
                     }
@@ -1412,47 +1407,54 @@ impl Database {
         Ok(n)
     }
 
+    /// The live rows of `t` matching `pred` (every row without one), with
+    /// their ids. Keyed predicates are index-accelerated: `col = const`
+    /// conjuncts probe the best covering index, and the full predicate is
+    /// still evaluated on the candidates.
+    fn live_matches<'a>(
+        &'a self,
+        t: &'a Table,
+        binding: &str,
+        pred: Option<&sql::Expr>,
+    ) -> Result<Vec<(RowId, Row)>> {
+        let Some(pred) = pred else {
+            return Ok(t.scan().map(|(id, r)| (id, r.clone())).collect());
+        };
+        let compiled = query::compile_row_predicate(self, &t.schema.name, binding, pred)?;
+        let probe = key_probe(t, binding, pred, self)?;
+        let mut ctx = ExecCtx::new(self);
+        let mut hits = Vec::new();
+        let mut visit = |id: RowId, row: &'a Row| -> Result<()> {
+            if query::eval_row_predicate(&compiled, row, &mut ctx)? == Truth::True {
+                hits.push((id, row.clone()));
+            }
+            Ok(())
+        };
+        match probe.candidates(t) {
+            Some(ids) => {
+                for id in ids {
+                    if let Some(row) = t.get(id) {
+                        visit(id, row)?;
+                    }
+                }
+            }
+            None => {
+                for (id, row) in t.scan() {
+                    visit(id, row)?;
+                }
+            }
+        }
+        Ok(hits)
+    }
+
     fn exec_delete(&mut self, del: &sql::Delete) -> Result<usize> {
         let matching: Vec<(RowId, Row)> = {
             let t = self
                 .tables
                 .get(&del.table)
                 .ok_or_else(|| EngineError::NoSuchTable(del.table.clone()))?;
-            match &del.predicate {
-                None => t.scan().map(|(id, r)| (id, r.clone())).collect(),
-                Some(pred) => {
-                    let binding = del.alias.clone().unwrap_or_else(|| del.table.clone());
-                    let compiled = query::compile_row_predicate(self, &del.table, &binding, pred)?;
-                    // Index-accelerate keyed deletes: collect `col = const`
-                    // conjuncts and probe the best covering index; the full
-                    // predicate is still evaluated on the candidates.
-                    let candidates = key_probe(t, &binding, pred, self)?.live_candidates(t);
-                    let mut ctx = ExecCtx::new(self);
-                    let mut hits = Vec::new();
-                    match candidates {
-                        Some(ids) => {
-                            for id in ids {
-                                let Some(row) = t.get(id) else { continue };
-                                if query::eval_row_predicate(&compiled, row, &mut ctx)?
-                                    == Truth::True
-                                {
-                                    hits.push((id, row.clone()));
-                                }
-                            }
-                        }
-                        None => {
-                            for (id, row) in t.scan() {
-                                if query::eval_row_predicate(&compiled, row, &mut ctx)?
-                                    == Truth::True
-                                {
-                                    hits.push((id, row.clone()));
-                                }
-                            }
-                        }
-                    }
-                    hits
-                }
-            }
+            let binding = del.alias.as_ref().unwrap_or(&del.table);
+            self.live_matches(t, binding, del.predicate.as_ref())?
         };
         let n = matching.len();
         if self.captured.contains(&del.table) {
@@ -1499,27 +1501,10 @@ impl Database {
                 }
                 positions.push(p);
             }
-            let matching = match &upd.predicate {
-                None => t.scan().map(|(id, r)| (id, r.clone())).collect(),
-                Some(pred) => {
-                    let compiled = query::compile_row_predicate(self, &upd.table, &binding, pred)?;
-                    let candidates = key_probe(t, &binding, pred, self)?.live_candidates(t);
-                    let mut ctx = ExecCtx::new(self);
-                    let mut hits = Vec::new();
-                    let ids: Vec<RowId> = match candidates {
-                        Some(ids) => ids,
-                        None => t.scan().map(|(id, _)| id).collect(),
-                    };
-                    for id in ids {
-                        let Some(row) = t.get(id) else { continue };
-                        if query::eval_row_predicate(&compiled, row, &mut ctx)? == Truth::True {
-                            hits.push((id, row.clone()));
-                        }
-                    }
-                    hits
-                }
-            };
-            (positions, matching)
+            (
+                positions,
+                self.live_matches(t, &binding, upd.predicate.as_ref())?,
+            )
         };
 
         // Compute the new rows (assignment expressions see the old row).
@@ -1719,14 +1704,13 @@ impl Database {
                 }
             }
             KeyProbe::Index(ix, key) => {
-                let ix = &t.indexes()[ix];
-                for &id in ix.probe(&key) {
+                for id in t.probe(ix, &key) {
                     if let Some(row) = t.get_at(id, snapshot).filter(|row| !hidden(row)) {
                         matching(row, &mut base)?;
                     }
                 }
                 if let Some(d) = delta {
-                    for row in d.pending_matching(&ix.columns, key.iter()) {
+                    for row in d.pending_matching(&t.indexes()[ix].columns, key.iter()) {
                         matching(row, &mut pending)?;
                     }
                 }
@@ -2050,51 +2034,55 @@ impl StatementView<'_> {
     /// exempt from uniqueness.
     fn check_unique(&self, new_rows: &[Row]) -> Result<()> {
         let t = self.table;
-        let unique: Vec<&HashIndex> = t.indexes().iter().filter(|ix| ix.unique).collect();
+        let unique: Vec<(usize, &HashIndex)> = t
+            .indexes()
+            .iter()
+            .enumerate()
+            .filter(|(_, ix)| ix.unique)
+            .collect();
         // The statement's own rows by key, per unique index (a single row
         // cannot clash with itself).
-        let mut own_keys: Vec<SlotIndex> = Vec::new();
+        let mut own_keys: Vec<SlotIndex<usize>> = Vec::new();
         if new_rows.len() > 1 {
-            for ix in &unique {
+            for (_, ix) in &unique {
                 let mut keys = SlotIndex::default();
                 for (i, row) in new_rows.iter().enumerate() {
-                    if ix.probe_row(row).is_some() {
-                        keys.insert(hash_values(ix.columns.iter().map(|&c| &row[c])), i as u64);
+                    if let Some(h) = ix.key_hash(row) {
+                        keys.insert(h, i);
                     }
                 }
                 own_keys.push(keys);
             }
         }
         for (i, row) in new_rows.iter().enumerate() {
-            for (u, ix) in unique.iter().enumerate() {
-                // Probes return version candidates; only snapshot-visible
-                // ones conflict (rows committed after the snapshot surface
-                // at COMMIT as serialization conflicts instead).
-                let Some(ids) = ix.probe_row(row) else {
+            for (u, &(n, ix)) in unique.iter().enumerate() {
+                // Probes return versions; only snapshot-visible ones
+                // conflict (rows committed after the snapshot surface at
+                // COMMIT as serialization conflicts instead).
+                let Some(mut ids) = t.probe_row(n, row) else {
                     continue;
                 };
-                let key = ix.columns.iter().map(|&c| &row[c]);
-                let clash = ids.iter().any(|&id| {
+                let clash = ids.any(|id| {
                     t.get_at(id, self.snapshot)
                         .is_some_and(|base| base.as_ref() != row.as_ref() && !self.hides(base))
                 }) || self.overlay.is_some_and(|d| {
                     // An identical pending row can only be one this
                     // statement retracts (no-ops were dropped).
-                    d.pending_matching(&ix.columns, key.clone())
+                    d.pending_matching(&ix.columns, ix.columns.iter().map(|&c| &row[c]))
                         .into_iter()
                         .any(|other| other != row && self.pending_copies(other) > 0)
                 }) || own_keys.get(u).is_some_and(|keys| {
-                    keys.get(hash_values(key.clone()))
-                        .iter()
-                        .any(|&j| j != i as u64 && ix.same_key(row, &new_rows[j as usize]))
+                    ix.key_hash(row).is_some_and(|h| {
+                        keys.get(h)
+                            .iter()
+                            .any(|&j| j != i && ix.same_key(row, &new_rows[j]))
+                    })
                 });
                 if clash {
                     return Err(EngineError::UniqueViolation {
                         table: t.schema.name.clone(),
                         index: ix.name.clone(),
-                        key: crate::table::format_key(
-                            &ix.key_of(row).expect("probed key is non-NULL"),
-                        ),
+                        key: ix.format_key(row),
                     });
                 }
             }
@@ -2123,12 +2111,13 @@ enum KeyProbe {
 }
 
 impl KeyProbe {
-    /// The live candidate ids in `t` (`None`: scan).
-    fn live_candidates(&self, t: &Table) -> Option<Vec<RowId>> {
+    /// The candidate version ids in `t` (`None`: scan). They include dead
+    /// versions; filter with [`Table::get`].
+    fn candidates<'a>(&'a self, t: &'a Table) -> Option<impl Iterator<Item = RowId> + 'a> {
         match self {
             KeyProbe::Scan => None,
-            KeyProbe::Nothing => Some(Vec::new()),
-            KeyProbe::Index(ix, key) => Some(t.indexes()[*ix].probe(key).to_vec()),
+            KeyProbe::Nothing => Some(None.into_iter().flatten()),
+            KeyProbe::Index(ix, key) => Some(Some(t.probe(*ix, key)).into_iter().flatten()),
         }
     }
 }
@@ -2183,4 +2172,59 @@ fn key_probe(t: &Table, binding: &str, pred: &sql::Expr, db: &Database) -> Resul
         }
     }
     Ok(KeyProbe::Index(ix_id, key))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hash::hash_values;
+
+    #[test]
+    fn collision_planned_writes_check_keys_not_buckets() {
+        // Unit tests keep three hash bits: these keys share one bucket.
+        let bucket = |k: i64| hash_values([&Value::Int(k)]);
+        let k: Vec<i64> = (1..).filter(|&k| bucket(k) == bucket(1)).take(4).collect();
+        let mut db = Database::new();
+        db.execute_sql(&format!(
+            "CREATE TABLE t (a INT PRIMARY KEY, b INT);
+             INSERT INTO t VALUES ({}, 0), ({}, 0);",
+            k[0], k[1]
+        ))
+        .unwrap();
+        let plan = |db: &Database, overlay: &TxOverlay, stmt: String| {
+            db.plan_dml(&sql::parse_statement(&stmt).unwrap(), overlay)
+        };
+        let unique_violation =
+            |r: Result<DmlDelta>| matches!(r, Err(EngineError::UniqueViolation { .. }));
+        let empty = TxOverlay::new();
+        let insert = |rows: &[i64]| {
+            let values: Vec<String> = (rows.iter().enumerate())
+                .map(|(b, a)| format!("({a}, {})", b + 1))
+                .collect();
+            format!("INSERT INTO t VALUES {}", values.join(", "))
+        };
+        // Base rows: a new colliding key passes, a stored one does not.
+        assert!(plan(&db, &empty, insert(&[k[2]])).is_ok());
+        assert!(unique_violation(plan(&db, &empty, insert(&[k[1]]))));
+        // The statement's own rows: distinct colliding keys pass.
+        assert!(plan(&db, &empty, insert(&[k[2], k[3]])).is_ok());
+        assert!(unique_violation(plan(&db, &empty, insert(&[k[2], k[2]]))));
+        // Pending rows of the transaction.
+        let mut overlay = TxOverlay::new();
+        overlay.apply_delta(plan(&db, &overlay, insert(&[k[2]])).unwrap());
+        assert!(plan(&db, &overlay, insert(&[k[3]])).is_ok());
+        let clash = format!("INSERT INTO t VALUES ({}, 9)", k[2]);
+        assert!(unique_violation(plan(&db, &overlay, clash)));
+        // Keyed DELETE / UPDATE probe the bucket and match one row each.
+        let del = plan(&db, &empty, format!("DELETE FROM t WHERE a = {}", k[1])).unwrap();
+        assert_eq!(del.del, [vec![Value::Int(k[1]), Value::Int(0)].into()]);
+        let upd = format!("UPDATE t SET b = 5 WHERE a = {}", k[0]);
+        assert_eq!(db.execute_sql(&upd).unwrap().len(), 1);
+        let gone = format!("DELETE FROM t WHERE a = {}", k[3]);
+        assert_eq!(plan(&db, &empty, gone).unwrap().rows_affected, 0);
+        let rs = db
+            .query_sql(&format!("SELECT b FROM t WHERE a = {}", k[0]))
+            .unwrap();
+        assert_eq!(rs.len(), 1);
+    }
 }

@@ -1,11 +1,21 @@
-//! A small, fast, non-cryptographic hasher for index keys.
+//! A small, fast, non-cryptographic hasher for index keys, and the one
+//! keyless hash index every table and transaction overlay is built on.
 //!
 //! Index keys are short `Value` sequences dominated by integers; SipHash (the
 //! std default) is needlessly slow for them and HashDoS is not a concern for
 //! an embedded engine. This is the FxHash multiply-xor scheme implemented
 //! locally so the project stays within its approved dependency set.
+//!
+//! `SlotIndex` maps the `hash_values` hash of a key to the slots (row
+//! ids, sequence numbers, positions) filed under it. It stores no keys and
+//! no rows: its owner keeps the rows and resolves hash collisions by
+//! comparing the key columns of the row a slot names. Unit tests keep only
+//! the low three bits of every hash, so unrelated keys share buckets and
+//! each owner's collision handling is exercised by every test.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::value::Value;
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -74,6 +84,121 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<Fx
 /// `HashSet` with the fast local hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
+/// The bits of a key hash an index files under: all of them, except in
+/// unit tests, where eight buckets make unrelated keys collide.
+#[cfg(not(test))]
+const KEY_HASH_MASK: u64 = u64::MAX;
+#[cfg(test)]
+const KEY_HASH_MASK: u64 = 0b111;
+
+/// Hash a sequence of values (a whole row, or the key columns of one) for
+/// a [`SlotIndex`].
+pub(crate) fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
+    let mut h = FxHasher::default();
+    for v in values {
+        v.hash(&mut h);
+    }
+    h.finish() & KEY_HASH_MASK
+}
+
+/// The slots filed under one hash: almost always exactly one, which then
+/// needs no heap block.
+#[derive(Debug, Clone)]
+enum Slots<S> {
+    One(S),
+    Many(Vec<S>),
+}
+
+/// A hash → slot multimap. It stores no rows and no keys: the owner looks
+/// the slots up in its row storage and resolves hash collisions by
+/// comparing there.
+///
+/// The slots under one hash are kept in the order they were inserted;
+/// removing one leaves the others in place. Owners rely on it: the first
+/// match under a hash is the oldest one filed.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotIndex<S> {
+    map: FxHashMap<u64, Slots<S>>,
+}
+
+impl<S> Default for SlotIndex<S> {
+    fn default() -> Self {
+        SlotIndex {
+            map: FxHashMap::default(),
+        }
+    }
+}
+
+impl<S: Copy + PartialEq> SlotIndex<S> {
+    /// The slots filed under `hash`, in insertion order. Not every one need
+    /// carry the key that hashed to it.
+    pub(crate) fn get(&self, hash: u64) -> &[S] {
+        match self.map.get(&hash) {
+            None => &[],
+            Some(Slots::One(s)) => std::slice::from_ref(s),
+            Some(Slots::Many(v)) => v,
+        }
+    }
+
+    /// File `slot` under `hash`, after the slots already there.
+    pub(crate) fn insert(&mut self, hash: u64, slot: S) {
+        match self.map.entry(hash) {
+            Entry::Vacant(e) => {
+                e.insert(Slots::One(slot));
+            }
+            Entry::Occupied(mut e) => match e.get_mut() {
+                Slots::Many(v) => v.push(slot),
+                Slots::One(first) => {
+                    let first = *first;
+                    e.insert(Slots::Many(vec![first, slot]));
+                }
+            },
+        }
+    }
+
+    /// Remove `slot` from under `hash`, keeping the order of the rest.
+    pub(crate) fn remove(&mut self, hash: u64, slot: S) {
+        let Entry::Occupied(mut e) = self.map.entry(hash) else {
+            return;
+        };
+        match e.get_mut() {
+            Slots::One(s) => {
+                if *s == slot {
+                    e.remove();
+                }
+            }
+            Slots::Many(v) => {
+                v.retain(|s| *s != slot);
+                match v[..] {
+                    [] => {
+                        e.remove();
+                    }
+                    [last] => {
+                        e.insert(Slots::One(last));
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// Number of slots filed.
+    pub(crate) fn len(&self) -> usize {
+        self.map
+            .values()
+            .map(|s| match s {
+                Slots::One(_) => 1,
+                Slots::Many(v) => v.len(),
+            })
+            .sum()
+    }
+
+    /// Remove every slot.
+    pub(crate) fn clear(&mut self) {
+        self.map.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +227,35 @@ mod tests {
         m.insert("y".into(), 2);
         assert_eq!(m.get("x"), Some(&1));
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn slot_index_keeps_insertion_order_and_shrinks_to_one() {
+        let mut ix: SlotIndex<u32> = SlotIndex::default();
+        for s in [4, 1, 3, 2] {
+            ix.insert(7, s);
+        }
+        ix.insert(8, 9);
+        ix.remove(7, 1);
+        assert_eq!(ix.get(7), [4, 3, 2]);
+        ix.remove(7, 4);
+        ix.remove(7, 2);
+        assert!(
+            matches!(ix.map[&7], Slots::One(3)),
+            "one slot, no heap block"
+        );
+        ix.remove(7, 5);
+        assert_eq!(ix.get(7), [3]);
+        ix.remove(7, 3);
+        assert!(ix.get(7).is_empty() && !ix.map.contains_key(&7));
+        assert_eq!(ix.len(), 1);
+    }
+
+    #[test]
+    fn key_hashes_collide_under_test() {
+        let keys: Vec<Value> = (0..64).map(Value::Int).collect();
+        let hashes: FxHashSet<u64> = keys.iter().map(|k| hash_values([k])).collect();
+        assert!(hashes.len() <= 8);
     }
 
     #[test]

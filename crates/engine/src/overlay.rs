@@ -46,7 +46,9 @@
 //! * hash indexes over those rows — by row identity for both sets, and by
 //!   key for every index of the base table — maintained by every mutation
 //!   and private to this module, so they cannot fall out of step with the
-//!   rows. "Is this base row hidden?", "is this row already pending?" and
+//!   rows. They are the same keyless hash → slot index the base tables use
+//!   (`crate::hash::SlotIndex`), with proposal sequence numbers or positions
+//!   as slots. "Is this base row hidden?", "is this row already pending?" and
 //!   "which pending rows carry this key?" are O(1) / O(matches).
 //!
 //! The resulting cost model: planning a statement is O(rows the statement
@@ -54,92 +56,15 @@
 //! the overlay moves its rows (no copy); a savepoint copies the overlay —
 //! rows and indexes — once.
 
-use crate::hash::{FxHashMap, FxHasher};
+use crate::hash::{hash_values, FxHashMap, SlotIndex};
 use crate::value::{Row, Value};
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-
-/// Hash a sequence of values (a whole row, or the key columns of one).
-pub(crate) fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
-    let mut h = FxHasher::default();
-    for v in values {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// The entries filed under one hash: almost always exactly one.
-#[derive(Debug, Clone)]
-enum Slots {
-    One(u64),
-    Many(Vec<u64>),
-}
-
-/// A hash → slot multimap. It stores no rows and no keys: the owner looks
-/// the slots up in its row storage and resolves hash collisions by
-/// comparing there.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct SlotIndex {
-    map: FxHashMap<u64, Slots>,
-}
-
-impl SlotIndex {
-    pub(crate) fn get(&self, hash: u64) -> &[u64] {
-        match self.map.get(&hash) {
-            None => &[],
-            Some(Slots::One(s)) => std::slice::from_ref(s),
-            Some(Slots::Many(v)) => v,
-        }
-    }
-
-    pub(crate) fn insert(&mut self, hash: u64, slot: u64) {
-        match self.map.entry(hash) {
-            Entry::Vacant(e) => {
-                e.insert(Slots::One(slot));
-            }
-            Entry::Occupied(mut e) => match e.get_mut() {
-                Slots::Many(v) => v.push(slot),
-                Slots::One(first) => {
-                    let first = *first;
-                    e.insert(Slots::Many(vec![first, slot]));
-                }
-            },
-        }
-    }
-
-    fn remove(&mut self, hash: u64, slot: u64) {
-        let emptied = match self.map.get_mut(&hash) {
-            None => false,
-            Some(Slots::One(s)) => *s == slot,
-            Some(Slots::Many(v)) => {
-                // Order-preserving: slots under one hash stay ascending, so
-                // "the first identical row" keeps meaning the oldest.
-                v.retain(|s| *s != slot);
-                v.is_empty()
-            }
-        };
-        if emptied {
-            self.map.remove(&hash);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map
-            .values()
-            .map(|s| match s {
-                Slots::One(_) => 1,
-                Slots::Many(v) => v.len(),
-            })
-            .sum()
-    }
-}
 
 /// The pending insertions carrying each key of one base-table index.
 #[derive(Debug, Clone)]
 struct KeyIndex {
     columns: Vec<usize>,
-    slots: SlotIndex,
+    slots: SlotIndex<u64>,
 }
 
 impl KeyIndex {
@@ -182,13 +107,13 @@ pub struct TableDelta {
     next_seq: u64,
     /// Row identity → sequence numbers in `ins` (a multiset: hand-staged
     /// event rows may repeat).
-    ins_rows: SlotIndex,
+    ins_rows: SlotIndex<u64>,
     /// One key index per index of the base table.
     ins_keys: Vec<KeyIndex>,
     /// Pending deletions, deduplicated, in proposal order.
     del: Vec<Row>,
     /// Row identity → positions in `del`.
-    del_rows: SlotIndex,
+    del_rows: SlotIndex<u64>,
 }
 
 /// Two deltas are equal when they propose the same rows in the same order;

@@ -93,6 +93,9 @@ pub struct ExecCtx<'a> {
     /// ([`crate::table::TS_LATEST`] = live state).
     snapshot: u64,
     frames: Vec<Vec<BoundRow<'a>>>,
+    /// Spare index-probe key buffers: each join level takes one while it
+    /// probes and gives it back, so keys are not allocated per outer row.
+    key_bufs: Vec<Vec<Value>>,
     view_cache: FxHashMap<String, Rc<Materialized>>,
     derived_cache: FxHashMap<usize, Rc<Materialized>>,
     materializing: Vec<String>,
@@ -105,6 +108,7 @@ impl<'a> ExecCtx<'a> {
             overlay: None,
             snapshot: crate::table::TS_LATEST,
             frames: Vec::new(),
+            key_bufs: Vec::new(),
             view_cache: FxHashMap::default(),
             derived_cache: FxHashMap::default(),
             materializing: Vec::new(),
@@ -435,55 +439,60 @@ fn bind_source<'a>(
                 .table(table)
                 .ok_or_else(|| EngineError::NoSuchTable(table.clone()))?;
             let delta = ctx.overlay.and_then(|o| o.delta(table));
-            let ix = &t.indexes()[*index];
-            // Evaluate the probe key; NULL or uncoercible keys match nothing.
-            let mut kv = Vec::with_capacity(key.len());
-            for (kexpr, &colpos) in key.iter().zip(&ix.columns) {
-                let v = eval_scalar(kexpr, ctx)?;
-                if v.is_null() {
-                    return Ok(ControlFlow::Continue(()));
+            let columns = &t.indexes()[*index].columns;
+            // One key buffer per join level, reused for every outer row.
+            let mut kv = ctx.key_bufs.pop().unwrap_or_default();
+            let result = (|| {
+                // Evaluate the probe key; NULL or uncoercible keys match
+                // nothing.
+                for (kexpr, &colpos) in key.iter().zip(columns) {
+                    let v = eval_scalar(kexpr, ctx)?;
+                    if v.is_null() {
+                        return Ok(ControlFlow::Continue(()));
+                    }
+                    match v.coerce_for_probe(t.schema.columns[colpos].ty) {
+                        Ok(v) => kv.push(v),
+                        Err(_) => return Ok(ControlFlow::Continue(())),
+                    }
                 }
-                match v.coerce_for_probe(t.schema.columns[colpos].ty) {
-                    Ok(v) => kv.push(v),
-                    Err(_) => return Ok(ControlFlow::Continue(())),
+                // Probes return versions; visibility filters them to the
+                // snapshot.
+                for id in t.probe(*index, &kv) {
+                    let Some(row) = t.get_at(id, ctx.snapshot) else {
+                        continue;
+                    };
+                    if delta.is_some_and(|d| d.hides(row)) {
+                        continue;
+                    }
+                    let frame_idx = ctx.frames.len() - 1;
+                    ctx.frames[frame_idx][i] = BoundRow::Table(row);
+                    if pass_filters(&src.filters, ctx)?
+                        && bind_source(s, i + 1, ctx, cb)? == ControlFlow::Break(())
+                    {
+                        return Ok(ControlFlow::Break(()));
+                    }
                 }
-            }
-            // The probe result is cloned into a small Vec because the index
-            // borrow cannot outlive frame mutation. Probes return *version*
-            // candidates; visibility filters them to the snapshot.
-            let ids: Vec<u32> = ix.probe(&kv).to_vec();
-            for id in ids {
-                let Some(row) = t.get_at(id, ctx.snapshot) else {
-                    continue;
-                };
-                if delta.is_some_and(|d| d.hides(row)) {
-                    continue;
-                }
-                let frame_idx = ctx.frames.len() - 1;
-                ctx.frames[frame_idx][i] = BoundRow::Table(row);
-                if pass_filters(&src.filters, ctx)?
-                    && bind_source(s, i + 1, ctx, cb)? == ControlFlow::Break(())
+                // The overlay mirrors the table's indexes over its pending
+                // insertions, so the same key probes them. Rows are stored
+                // schema-validated, which makes direct `Value` equality
+                // against the coerced key exact.
+                for row in delta
+                    .into_iter()
+                    .flat_map(|d| d.pending_matching(columns, kv.iter()))
                 {
-                    return Ok(ControlFlow::Break(()));
+                    let frame_idx = ctx.frames.len() - 1;
+                    ctx.frames[frame_idx][i] = BoundRow::Table(row);
+                    if pass_filters(&src.filters, ctx)?
+                        && bind_source(s, i + 1, ctx, cb)? == ControlFlow::Break(())
+                    {
+                        return Ok(ControlFlow::Break(()));
+                    }
                 }
-            }
-            // The overlay mirrors the table's indexes over its pending
-            // insertions, so the same key probes them. Rows are stored
-            // schema-validated, which makes direct `Value` equality against
-            // the coerced key exact.
-            for row in delta
-                .into_iter()
-                .flat_map(|d| d.pending_matching(&ix.columns, kv.iter()))
-            {
-                let frame_idx = ctx.frames.len() - 1;
-                ctx.frames[frame_idx][i] = BoundRow::Table(row);
-                if pass_filters(&src.filters, ctx)?
-                    && bind_source(s, i + 1, ctx, cb)? == ControlFlow::Break(())
-                {
-                    return Ok(ControlFlow::Break(()));
-                }
-            }
-            Ok(ControlFlow::Continue(()))
+                Ok(ControlFlow::Continue(()))
+            })();
+            kv.clear();
+            ctx.key_bufs.push(kv);
+            result
         }
         Access::MatScan { mat } => {
             let m = ctx.resolve_mat(mat)?;

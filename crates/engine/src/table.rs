@@ -7,6 +7,27 @@
 //! equality probe), and NULL-containing keys are exempt from uniqueness,
 //! following SQL semantics.
 //!
+//! # Indexes
+//!
+//! A [`HashIndex`] is keyless: it maps the hash of a row's key columns to
+//! the ids of the versions carrying that key, and stores neither keys nor
+//! rows — the same hash → slot multimap each transaction overlay keeps over
+//! its pending rows. Since distinct keys can share a hash, ids leave an
+//! index only through [`Table::probe`] / [`Table::probe_row`] (and the
+//! uniqueness, backfill and identity checks inside this module), which
+//! compare the key columns of the row each id names; no caller can see a
+//! colliding key. Within one key, ids come back in the order they were
+//! indexed: a removal leaves the others in place.
+//!
+//! Per indexed row, a key held by one version costs one 32-byte map entry
+//! (the `u64` hash and the id, stored inline) plus a control byte, and no
+//! heap block. The index this replaced stored a boxed copy of every key
+//! (24 bytes per key column, plus a cloned string for text keys) and a heap
+//! vector of ids for every key, even a unique key's single id: a 40-byte
+//! entry plus two heap blocks, ≈105 bytes for a one-column unique key on
+//! glibc before hash-table slack, against ≈33 now. A key shared by several
+//! versions moves its ids to one heap vector, as before.
+//!
 //! # Row versions
 //!
 //! Every stored row is a *version* stamped with a `(begin, end)` pair of
@@ -37,16 +58,13 @@
 //! Every operation on the commit path is proportional to the rows it is
 //! handed, never to the table: stamped-dead versions are remembered in a
 //! per-table dead list, so [`Table::gc`] and the un-stamp compensation walk
-//! the garbage instead of the slot vector, and index probes by row
-//! ([`HashIndex::probe_row`]) hash the key columns in place instead of
-//! boxing a key per lookup.
+//! the garbage instead of the slot vector. An index probe costs the hash of
+//! the key plus one key comparison per id under that hash.
 
 use crate::error::{EngineError, Result};
-use crate::hash::FxHashMap;
+use crate::hash::{hash_values, SlotIndex};
 use crate::schema::TableSchema;
 use crate::value::{Row, Value};
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
 
 /// Stable identifier of a row version within its table.
 pub type RowId = u32;
@@ -82,102 +100,16 @@ impl Version {
     }
 }
 
-/// A view of an index key — the owned key stored in the map, a probe key
-/// slice, or the key columns of a row in place. Hashing and equality are
-/// defined on the view, so a lookup never has to materialize a key.
-trait KeyView {
-    fn key_len(&self) -> usize;
-    fn key_at(&self, i: usize) -> &Value;
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for i in 0..self.key_len() {
-            self.key_at(i).hash(state);
-        }
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key_len() == other.key_len()
-            && (0..self.key_len()).all(|i| self.key_at(i) == other.key_at(i))
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-/// An owned index key (the map's key type).
-#[derive(Debug, Clone)]
-struct IndexKey(Box<[Value]>);
-
-impl KeyView for IndexKey {
-    fn key_len(&self) -> usize {
-        self.0.len()
-    }
-    fn key_at(&self, i: usize) -> &Value {
-        &self.0[i]
-    }
-}
-
-impl Hash for IndexKey {
-    // Must feed the hasher exactly what `dyn KeyView` does; written out so
-    // rehashing a growing map does not pay dynamic dispatch per value.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for v in self.0.iter() {
-            v.hash(state);
-        }
-    }
-}
-
-impl PartialEq for IndexKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-
-impl Eq for IndexKey {}
-
-impl<'a> Borrow<dyn KeyView + 'a> for IndexKey {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
-
-/// A probe key given as a value slice.
-struct SliceKey<'a>(&'a [Value]);
-
-impl KeyView for SliceKey<'_> {
-    fn key_len(&self) -> usize {
-        self.0.len()
-    }
-    fn key_at(&self, i: usize) -> &Value {
-        &self.0[i]
-    }
-}
-
-/// The key columns of a row, read in place.
-struct RowKey<'a> {
-    row: &'a [Value],
-    columns: &'a [usize],
-}
-
-impl KeyView for RowKey<'_> {
-    fn key_len(&self) -> usize {
-        self.columns.len()
-    }
-    fn key_at(&self, i: usize) -> &Value {
-        &self.row[self.columns[i]]
-    }
-}
-
-/// A hash index over a fixed list of columns.
+/// A hash index over a fixed list of columns: the hash of a row's key
+/// columns → the ids of the versions carrying that key. It stores no key
+/// values, so it is probed through [`Table::probe`] / [`Table::probe_row`],
+/// which compare keys (see the [module documentation](self#indexes)).
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     pub name: String,
     pub columns: Vec<usize>,
     pub unique: bool,
-    map: FxHashMap<IndexKey, Vec<RowId>>,
+    ids: SlotIndex<RowId>,
 }
 
 impl HashIndex {
@@ -186,22 +118,17 @@ impl HashIndex {
             name,
             columns,
             unique,
-            map: FxHashMap::default(),
+            ids: SlotIndex::default(),
         }
     }
 
-    /// Does `row` carry a key for this index (no key column is NULL)?
-    fn has_key(&self, row: &[Value]) -> bool {
-        self.columns.iter().all(|&c| !row[c].is_null())
-    }
-
-    /// Materialize this index's key from a row; `None` if any key column is
-    /// NULL. Allocates — lookups and comparisons use
-    /// [`HashIndex::probe_row`] / [`HashIndex::same_key`] instead; this is
-    /// for storing a new key and for error messages.
-    pub(crate) fn key_of(&self, row: &[Value]) -> Option<Box<[Value]>> {
-        self.has_key(row)
-            .then(|| self.columns.iter().map(|&c| row[c].clone()).collect())
+    /// The hash `row`'s key is filed under; `None` if any key column is
+    /// NULL — such rows are not indexed.
+    pub(crate) fn key_hash(&self, row: &[Value]) -> Option<u64> {
+        self.columns
+            .iter()
+            .all(|&c| !row[c].is_null())
+            .then(|| hash_values(self.columns.iter().map(|&c| &row[c])))
     }
 
     /// Do `a` and `b` carry the same (non-NULL) key for this index?
@@ -211,66 +138,54 @@ impl HashIndex {
             .all(|&c| !a[c].is_null() && a[c] == b[c])
     }
 
-    /// Candidate row-version ids matching an exact key. The result may
-    /// include versions no snapshot the caller cares about can see (dead
-    /// versions awaiting GC); filter with [`Table::get`] /
-    /// [`Table::get_at`].
-    pub fn probe(&self, key: &[Value]) -> &[RowId] {
-        self.lookup(&SliceKey(key))
+    /// `row`'s key for this index, formatted for an error message.
+    pub(crate) fn format_key(&self, row: &[Value]) -> String {
+        let parts: Vec<String> = self.columns.iter().map(|&c| row[c].to_string()).collect();
+        format!("({})", parts.join(", "))
     }
 
-    /// [`HashIndex::probe`] with the key read from `row`'s key columns in
-    /// place (no key is allocated); `None` if any key column is NULL — such
-    /// rows are not indexed.
-    pub fn probe_row(&self, row: &[Value]) -> Option<&[RowId]> {
-        self.has_key(row).then(|| {
-            self.lookup(&RowKey {
-                row,
-                columns: &self.columns,
+    /// The versions in `slots` filed under `hash` whose row satisfies
+    /// `is_key` — the one way ids leave the index.
+    fn matching<'a>(
+        &'a self,
+        slots: &'a [Option<Version>],
+        hash: u64,
+        is_key: impl Fn(&[Value]) -> bool + 'a,
+    ) -> impl Iterator<Item = (RowId, &'a Version)> + 'a {
+        self.ids
+            .get(hash)
+            .iter()
+            .map(move |&id| {
+                let v = slots[id as usize]
+                    .as_ref()
+                    .expect("indexed ids name occupied slots");
+                (id, v)
             })
-        })
+            .filter(move |(_, v)| is_key(&v.row))
     }
 
-    fn lookup(&self, key: &dyn KeyView) -> &[RowId] {
-        self.map.get(key).map_or(&[], |v| v.as_slice())
+    /// The versions in `slots` carrying `row`'s key; `None` if `row` has
+    /// no key (a NULL key column).
+    fn matching_row<'a>(
+        &'a self,
+        slots: &'a [Option<Version>],
+        row: &'a [Value],
+    ) -> Option<impl Iterator<Item = (RowId, &'a Version)> + 'a> {
+        let hash = self.key_hash(row)?;
+        Some(self.matching(slots, hash, move |stored| self.same_key(row, stored)))
     }
 
     /// Index version `id` of `row` (a no-op for a row without a key).
     fn insert(&mut self, row: &[Value], id: RowId) {
-        if !self.has_key(row) {
-            return;
-        }
-        let key = RowKey {
-            row,
-            columns: &self.columns,
-        };
-        match self.map.get_mut(&key as &dyn KeyView) {
-            Some(ids) => ids.push(id),
-            None => {
-                // Only a key the index has not seen yet is materialized.
-                let owned = IndexKey(self.key_of(row).expect("checked above"));
-                self.map.insert(owned, vec![id]);
-            }
+        if let Some(h) = self.key_hash(row) {
+            self.ids.insert(h, id);
         }
     }
 
     /// Drop version `id` of `row` from the index.
     fn remove(&mut self, row: &[Value], id: RowId) {
-        if !self.has_key(row) {
-            return;
-        }
-        let key = RowKey {
-            row,
-            columns: &self.columns,
-        };
-        let key: &dyn KeyView = &key;
-        if let Some(v) = self.map.get_mut(key) {
-            if let Some(pos) = v.iter().position(|&x| x == id) {
-                v.swap_remove(pos);
-            }
-            if v.is_empty() {
-                self.map.remove(key);
-            }
+        if let Some(h) = self.key_hash(row) {
+            self.ids.remove(h, id);
         }
     }
 }
@@ -450,18 +365,14 @@ impl Table {
     fn store(&mut self, row: Row, begin: u64) -> Result<RowId> {
         // Uniqueness checks before any mutation.
         for ix in self.indexes.iter().filter(|ix| ix.unique) {
-            let conflict = ix.probe_row(&row).is_some_and(|ids| {
-                ids.iter().any(|&id| {
-                    self.slots[id as usize]
-                        .as_ref()
-                        .is_some_and(|v| v.is_live())
-                })
-            });
+            let conflict = ix
+                .matching_row(&self.slots, &row)
+                .is_some_and(|mut same| same.any(|(_, v)| v.is_live()));
             if conflict {
                 return Err(EngineError::UniqueViolation {
                     table: self.schema.name.clone(),
                     index: ix.name.clone(),
-                    key: format_key(&ix.key_of(&row).expect("probed key is non-NULL")),
+                    key: ix.format_key(&row),
                 });
             }
         }
@@ -606,7 +517,7 @@ impl Table {
         self.dead.clear();
         self.min_dead_end = TS_LIVE;
         for ix in &mut self.indexes {
-            ix.map.clear();
+            ix.ids.clear();
         }
     }
 
@@ -703,22 +614,19 @@ impl Table {
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|v| (i as RowId, v)))
         {
-            if let Some(bucket) = ix.probe_row(&version.row) {
-                if unique
-                    && version.is_live()
-                    && bucket
-                        .iter()
-                        .any(|&p| self.slots[p as usize].as_ref().is_some_and(|v| v.is_live()))
-                {
-                    let key = ix.key_of(&version.row).expect("probed key is non-NULL");
-                    return Err(EngineError::UniqueViolation {
-                        table: self.schema.name.clone(),
-                        index: ix.name,
-                        key: format_key(&key),
-                    });
-                }
-                ix.insert(&version.row, id);
+            if unique
+                && version.is_live()
+                && ix
+                    .matching_row(&self.slots, &version.row)
+                    .is_some_and(|mut same| same.any(|(_, v)| v.is_live()))
+            {
+                return Err(EngineError::UniqueViolation {
+                    table: self.schema.name.clone(),
+                    key: ix.format_key(&version.row),
+                    index: ix.name,
+                });
             }
+            ix.insert(&version.row, id);
         }
         self.indexes.push(ix);
         Ok(())
@@ -778,9 +686,10 @@ impl Table {
     /// commit timestamp `s` observes. Allocation-free — also the existence
     /// probe of commit-time conflict detection.
     pub fn find_identical_at(&self, row: &[Value], s: u64) -> Option<RowId> {
-        let identical = |id: RowId| self.get_at(id, s).is_some_and(|r| r.as_ref() == row);
-        match self.identity_bucket(row) {
-            Some(ids) => ids.iter().copied().find(|&id| identical(id)),
+        match self.identity_candidates(row) {
+            Some(mut same_key) => same_key
+                .find(|(_, v)| v.visible_at(s) && v.row.as_ref() == row)
+                .map(|(id, _)| id),
             None => self
                 .scan_at(s)
                 .find(|(_, r)| r.as_ref() == row)
@@ -792,9 +701,12 @@ impl Table {
     /// semantics: one deletion event removes all identical copies). Used by
     /// the versioned apply.
     pub fn find_identical_all(&self, row: &[Value], out: &mut Vec<RowId>) {
-        let identical = |id: RowId| self.get(id).is_some_and(|r| r.as_ref() == row);
-        match self.identity_bucket(row) {
-            Some(ids) => out.extend(ids.iter().copied().filter(|&id| identical(id))),
+        match self.identity_candidates(row) {
+            Some(same_key) => out.extend(
+                same_key
+                    .filter(|(_, v)| v.is_live() && v.row.as_ref() == row)
+                    .map(|(id, _)| id),
+            ),
             None => out.extend(
                 self.scan()
                     .filter(|(_, r)| r.as_ref() == row)
@@ -805,16 +717,41 @@ impl Table {
 
     /// The versions that can be identical to `row`: identical rows share
     /// every index key, so any index `row` carries a key for narrows the
-    /// search to one bucket. `None` (a keyless table, or NULL in every key)
-    /// means scan.
-    fn identity_bucket(&self, row: &[Value]) -> Option<&[RowId]> {
-        self.indexes.iter().find_map(|ix| ix.probe_row(row))
+    /// search to the versions with that key. `None` (a keyless table, or
+    /// NULL in every key) means scan.
+    fn identity_candidates<'a>(
+        &'a self,
+        row: &'a [Value],
+    ) -> Option<impl Iterator<Item = (RowId, &'a Version)> + 'a> {
+        self.indexes
+            .iter()
+            .find_map(|ix| ix.matching_row(&self.slots, row))
     }
-}
 
-pub(crate) fn format_key(key: &[Value]) -> String {
-    let parts: Vec<String> = key.iter().map(|v| v.to_string()).collect();
-    format!("({})", parts.join(", "))
+    /// The versions — live or dead: filter with [`Table::get`] /
+    /// [`Table::get_at`] — whose key on index number `ix` equals `key`
+    /// (one value per index column, coerced to the column types), in the
+    /// order they were indexed. A key containing NULL matches nothing.
+    pub fn probe<'a>(&'a self, ix: usize, key: &'a [Value]) -> impl Iterator<Item = RowId> + 'a {
+        let index = &self.indexes[ix];
+        debug_assert_eq!(key.len(), index.columns.len(), "probe key arity");
+        index
+            .matching(&self.slots, hash_values(key), move |row| {
+                index.columns.iter().zip(key).all(|(&c, k)| row[c] == *k)
+            })
+            .map(|(id, _)| id)
+    }
+
+    /// [`Table::probe`] with the key read from `row`'s key columns in
+    /// place; `None` if any of them is NULL — such rows are not indexed.
+    pub fn probe_row<'a>(
+        &'a self,
+        ix: usize,
+        row: &'a [Value],
+    ) -> Option<impl Iterator<Item = RowId> + 'a> {
+        let same_key = self.indexes[ix].matching_row(&self.slots, row)?;
+        Some(same_key.map(|(id, _)| id))
+    }
 }
 
 #[cfg(test)]
@@ -841,6 +778,10 @@ mod tests {
         );
         s.primary_key = vec![0];
         s
+    }
+
+    fn index_no(t: &Table, name: &str) -> usize {
+        t.indexes().iter().position(|ix| ix.name == name).unwrap()
     }
 
     #[test]
@@ -906,8 +847,7 @@ mod tests {
             t.insert(vec![Value::Int(i), Value::str(format!("r{i}"))])
                 .unwrap();
         }
-        let ix = &t.indexes()[0];
-        let ids = ix.probe(&[Value::Int(42)]);
+        let ids: Vec<RowId> = t.probe(0, &[Value::Int(42)]).collect();
         assert_eq!(ids.len(), 1);
         assert_eq!(t.get(ids[0]).unwrap()[1], Value::str("r42"));
     }
@@ -923,8 +863,7 @@ mod tests {
             .unwrap();
         }
         t.create_index("t_b".into(), vec![1], false).unwrap();
-        let ix = t.indexes().iter().find(|ix| ix.name == "t_b").unwrap();
-        assert_eq!(ix.probe(&[Value::str("e")]).len(), 5);
+        assert_eq!(t.probe(index_no(&t, "t_b"), &[Value::str("e")]).count(), 5);
     }
 
     #[test]
@@ -942,8 +881,7 @@ mod tests {
         // Two NULLs in a unique column are fine.
         t.insert(vec![Value::Int(1), Value::Null]).unwrap();
         t.insert(vec![Value::Int(2), Value::Null]).unwrap();
-        let ix = t.indexes().iter().find(|ix| ix.name == "u").unwrap();
-        assert!(ix.probe(&[Value::Null]).is_empty());
+        assert_eq!(t.probe(index_no(&t, "u"), &[Value::Null]).count(), 0);
     }
 
     #[test]
@@ -1015,7 +953,7 @@ mod tests {
             .unwrap();
         assert_ne!(id, id2);
         // Both versions share the PK index bucket until GC.
-        assert_eq!(t.indexes()[0].probe(&[Value::Int(1)]).len(), 2);
+        assert_eq!(t.probe(0, &[Value::Int(1)]).count(), 2);
         // A snapshot before the swap sees exactly the old row.
         assert_eq!(
             t.find_identical_at(&[Value::Int(1), Value::str("old")], 1),
@@ -1026,7 +964,7 @@ mod tests {
         assert_eq!(t.gc(1), 0);
         assert_eq!(t.gc(2), 1);
         assert_eq!(t.version_counts(), (1, 0));
-        assert_eq!(t.indexes()[0].probe(&[Value::Int(1)]).len(), 1);
+        assert_eq!(t.probe(0, &[Value::Int(1)]).count(), 1);
         // The freed slot is reused.
         let id3 = t.insert(vec![Value::Int(9), Value::Null]).unwrap();
         assert_eq!(id3, id);
@@ -1137,12 +1075,14 @@ mod tests {
     }
 
     /// GC cost follows the garbage, not the table: with 300 dead versions
-    /// among 200 000 rows the pass has exactly the 300-entry dead list to
+    /// among 20 000 rows the pass has exactly the 300-entry dead list to
     /// walk (the slot vector is never iterated), frees exactly those
-    /// slots, and leaves every other row in place.
+    /// slots, and leaves every other row in place. (The table stays this
+    /// small because unit tests squeeze every key into eight hash buckets,
+    /// which makes each insert's uniqueness probe O(rows / 8).)
     #[test]
     fn complexity_gc_walks_the_dead_list_not_the_table() {
-        const ROWS: i64 = 200_000;
+        const ROWS: i64 = 20_000;
         const DEAD: usize = 300;
         let mut t = Table::new(schema2());
         for i in 0..ROWS {
@@ -1207,7 +1147,7 @@ mod tests {
         let keys: Vec<&Value> = rows.iter().map(|r| &r[0]).collect();
         assert_eq!(keys, [&Value::Int(0), &Value::Int(2), &Value::Int(3)]);
         assert_eq!(t.len(), 0);
-        assert!(t.indexes()[0].probe(&[Value::Int(0)]).is_empty());
+        assert_eq!(t.probe(0, &[Value::Int(0)]).count(), 0);
         t.insert(vec![Value::Int(0), Value::Null]).unwrap();
     }
 
@@ -1240,11 +1180,171 @@ mod tests {
             .unwrap();
         // Non-unique index: both versions indexed so old snapshots probe.
         t.create_index("t_b".into(), vec![1], false).unwrap();
-        let ix = t.indexes().iter().find(|ix| ix.name == "t_b").unwrap();
-        assert_eq!(ix.probe(&[Value::str("x")]).len(), 2);
+        assert_eq!(t.probe(index_no(&t, "t_b"), &[Value::str("x")]).count(), 2);
         // Unique index over the same column: the dead version does not
         // conflict with the live one.
         t.create_index("t_b_u".into(), vec![1], true).unwrap();
+    }
+
+    /// `n` distinct keys whose index hashes all collide with key 0's (unit
+    /// tests keep three hash bits, so one key in eight qualifies).
+    fn colliding_ints(n: usize) -> Vec<i64> {
+        let bucket = |k: i64| hash_values([&Value::Int(k)]);
+        let keys: Vec<i64> = (0..).filter(|&k| bucket(k) == bucket(0)).take(n).collect();
+        assert!(keys.len() == n && keys[1..].iter().all(|&k| k != 0));
+        keys
+    }
+
+    #[test]
+    fn collision_unique_checks_compare_keys_not_buckets() {
+        let keys = colliding_ints(6);
+        let mut t = Table::new(schema2());
+        for &k in &keys {
+            t.insert(vec![Value::Int(k), Value::Null])
+                .expect("colliding but distinct keys are not duplicates");
+        }
+        assert_eq!(t.indexes[0].ids.get(hash_values([&Value::Int(0)])).len(), 6);
+        for &k in &keys {
+            let err = t
+                .insert(vec![Value::Int(k), Value::str("dup")])
+                .unwrap_err();
+            let EngineError::UniqueViolation { key, .. } = err else {
+                panic!("expected a unique violation, got {err:?}");
+            };
+            assert_eq!(key, format!("({k})"));
+        }
+        // A dead version of a colliding key frees only its own key.
+        let id = t.probe(0, &[Value::Int(keys[2])]).next().unwrap();
+        t.delete_row_at(id, 4);
+        t.insert_at(vec![Value::Int(keys[2]), Value::Null], 4)
+            .unwrap();
+        assert!(t.insert(vec![Value::Int(keys[3]), Value::Null]).is_err());
+    }
+
+    #[test]
+    fn collision_create_index_backfills_colliding_live_and_dead_versions() {
+        let keys = colliding_ints(3);
+        let mut t = Table::new(schema2());
+        let b = |k: i64| Value::str(format!("b{k}"));
+        // Text keys whose hashes collide, found the same way.
+        let texts: Vec<i64> = (0..)
+            .filter(|&k| hash_values([&b(k)]) == hash_values([&b(0)]))
+            .take(3)
+            .collect();
+        for (i, &k) in texts.iter().enumerate() {
+            t.insert(vec![Value::Int(keys[i]), b(k)]).unwrap();
+        }
+        // A dead version and a live one share texts[0]; the others are
+        // alone under their keys but share the bucket.
+        let old = t.probe(0, &[Value::Int(keys[0])]).next().unwrap();
+        t.delete_row_at(old, 5);
+        t.insert_at(vec![Value::Int(100), b(texts[0])], 5).unwrap();
+        let mut dup = t.clone();
+        t.create_index("t_b_u".into(), vec![1], true)
+            .expect("one live version per text key");
+        let u = index_no(&t, "t_b_u");
+        assert_eq!(t.probe(u, &[b(texts[0])]).count(), 2, "dead and live");
+        for &k in &texts[1..] {
+            let ids: Vec<RowId> = t.probe(u, &[b(k)]).collect();
+            assert_eq!(ids.len(), 1);
+            assert_eq!(t.get(ids[0]).unwrap()[1], b(k));
+        }
+        // Two *live* versions of one key still fail the unique backfill,
+        // and the message names that key, not a bucket neighbour's.
+        dup.insert(vec![Value::Int(101), b(texts[1])]).unwrap();
+        let err = dup.create_index("t_b_u".into(), vec![1], true).unwrap_err();
+        let EngineError::UniqueViolation { key, .. } = err else {
+            panic!("expected a unique violation, got {err:?}");
+        };
+        assert_eq!(key, format!("({})", b(texts[1])));
+    }
+
+    #[test]
+    fn collision_find_identical_all_skips_colliding_keys() {
+        let keys = colliding_ints(4);
+        let mut s = schema2();
+        s.primary_key = vec![];
+        let mut t = Table::new(s);
+        t.create_index("t_a".into(), vec![0], false).unwrap();
+        let mut want = Vec::new();
+        for &k in &keys {
+            for copy in 0..2 {
+                let id = t.insert(vec![Value::Int(k), Value::str("x")]).unwrap();
+                if k == keys[1] {
+                    want.push(id);
+                }
+                if copy == 0 {
+                    t.insert(vec![Value::Int(k), Value::str("y")]).unwrap();
+                }
+            }
+        }
+        let mut ids = Vec::new();
+        t.find_identical_all(&[Value::Int(keys[1]), Value::str("x")], &mut ids);
+        assert_eq!(ids, want, "exactly the identical versions, in index order");
+        let stamped = want[0];
+        t.delete_row_at(stamped, 3);
+        ids.clear();
+        t.find_identical_all(&[Value::Int(keys[1]), Value::str("x")], &mut ids);
+        assert_eq!(ids, [want[1]], "dead versions are not live matches");
+        assert_eq!(
+            t.find_identical_at(&[Value::Int(keys[1]), Value::str("x")], 2),
+            Some(stamped)
+        );
+        assert_eq!(t.find_identical(&[Value::Int(1), Value::str("x")]), None);
+    }
+
+    #[test]
+    fn collision_probe_returns_only_matching_keys() {
+        let keys = colliding_ints(5);
+        let mut t = Table::new(schema2());
+        t.create_index("t_b".into(), vec![1], false).unwrap();
+        for &k in &keys {
+            t.insert(vec![Value::Int(k), Value::str("s")]).unwrap();
+        }
+        for &k in &keys {
+            let ids: Vec<RowId> = t.probe(0, &[Value::Int(k)]).collect();
+            assert_eq!(ids.len(), 1);
+            assert_eq!(t.get(ids[0]).unwrap()[0], Value::Int(k));
+            let row = [Value::Int(k), Value::Null];
+            assert_eq!(t.probe_row(0, &row).unwrap().collect::<Vec<_>>(), ids);
+        }
+        // An absent key in the shared bucket, and a NULL key, match nothing.
+        let absent = colliding_ints(6)[5];
+        assert_eq!(t.probe(0, &[Value::Int(absent)]).count(), 0);
+        assert_eq!(t.probe(1, &[Value::Null]).count(), 0);
+        assert!(t.probe_row(1, &[Value::Int(0), Value::Null]).is_none());
+        assert_eq!(t.probe(1, &[Value::str("s")]).count(), 5);
+    }
+
+    #[test]
+    fn collision_delete_and_gc_remove_one_id_from_a_shared_bucket() {
+        let keys = colliding_ints(4);
+        let mut t = Table::new(schema2());
+        let ids: Vec<RowId> = keys
+            .iter()
+            .map(|&k| t.insert(vec![Value::Int(k), Value::Null]).unwrap())
+            .collect();
+        let bucket = |t: &Table| t.indexes[0].ids.get(hash_values([&Value::Int(0)])).to_vec();
+        assert_eq!(bucket(&t), ids);
+        // A physical delete drops its id and keeps the others in order.
+        t.delete_row(ids[1]);
+        assert_eq!(bucket(&t), [ids[0], ids[2], ids[3]]);
+        assert_eq!(t.probe(0, &[Value::Int(keys[1])]).count(), 0);
+        // A stamped delete keeps the id until GC prunes it.
+        t.delete_row_at(ids[2], 6);
+        assert_eq!(bucket(&t), [ids[0], ids[2], ids[3]]);
+        assert_eq!(t.gc(6), 1);
+        assert_eq!(bucket(&t), [ids[0], ids[3]]);
+        for (i, &k) in keys.iter().enumerate() {
+            let expect = usize::from(i == 0 || i == 3);
+            assert_eq!(t.probe(0, &[Value::Int(k)]).count(), expect, "key {k}");
+        }
+        // The freed slots are reused under their new keys.
+        let again = t.insert(vec![Value::Int(keys[2]), Value::Null]).unwrap();
+        assert_eq!(
+            t.probe(0, &[Value::Int(keys[2])]).collect::<Vec<_>>(),
+            [again]
+        );
     }
 
     #[test]
