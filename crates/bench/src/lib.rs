@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 use tintin::{Installation, Tintin, TintinConfig};
-use tintin_engine::Database;
+use tintin_engine::{Database, ReadCtx};
 use tintin_tpch::{database_bytes, Dbgen, TpchCounts, UpdateGen};
 
 /// Scale factor representing one "paper gigabyte".
@@ -98,15 +98,15 @@ pub fn time_full(s: &Scenario, iters: usize) -> Duration {
     // Apply the pending update to a copy once, then time the queries on the
     // live state (which sees the applied, unpublished versions).
     let mut db = s.db.clone();
-    let (_, touched) = db.normalize_events_touched().unwrap();
+    let (_, touched) = db.normalize_events().unwrap();
     let ts = db.next_commit_ts();
-    db.apply_pending_versioned_for(&touched, ts).unwrap();
+    db.apply_pending_versioned(&touched, ts).unwrap();
     let mut best = Duration::MAX;
     for _ in 0..iters {
         let t0 = Instant::now();
         for a in &s.inst.assertions {
             for q in &a.original_queries {
-                let rs = db.query(q).unwrap();
+                let rs = db.query(q, ReadCtx::LATEST).unwrap();
                 assert!(rs.is_empty());
             }
         }
@@ -130,12 +130,13 @@ pub fn secs(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tintin_engine::TS_LATEST;
     use tintin_tpch::TPCH_ASSERTIONS;
 
     #[test]
     fn prepare_builds_consistent_scenario() {
         let mut s = prepare(0.1, 0.1, &[TPCH_ASSERTIONS[0].1], 3);
-        let (ins, del) = s.db.pending_counts();
+        let (ins, del) = s.db.pending_counts(TS_LATEST);
         assert!(ins + del > 0, "pending update captured");
         let inc = time_incremental(&mut s, 2);
         let full = time_full(&s, 2);

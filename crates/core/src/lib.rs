@@ -68,10 +68,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 use tintin_engine::{
-    del_table_name, ins_table_name, Database, NormalizationReport, PreparedQuery, ResultSet,
-    TouchedTable, TxOverlay, Value,
+    del_table_name, ins_table_name, Database, NormalizationReport, PreparedQuery, ReadCtx,
+    ResultSet, Touched, TxOverlay, Value,
 };
-use tintin_logic::{CmpOp, EdcGenerator, Konst, Registry, SchemaCatalog};
+use tintin_logic::{
+    CmpOp, EdcGenerator, Feature, Konst, Registry, SchemaCatalog, TranslateError,
+    TranslateErrorKind,
+};
 use tintin_sql as sql;
 use tintin_sqlgen::GeneratedView;
 
@@ -309,74 +312,6 @@ impl RelevanceIndex {
             }
         }
         idx
-    }
-}
-
-/// The event tables actually holding pending rows, computed once per
-/// commit ([`TouchedEvents::scan`]) and consulted by every installation's
-/// relevance index instead of re-probing the database per view.
-#[derive(Debug, Clone, Default)]
-pub struct TouchedEvents {
-    ins: BTreeSet<String>,
-    del: BTreeSet<String>,
-}
-
-impl TouchedEvents {
-    /// Scan the captured tables' event tables for pending rows (one cheap
-    /// engine pass; see [`Database::touched_event_tables`]).
-    ///
-    /// For gating [`Tintin::check_normalized`], scan *after*
-    /// [`Database::normalize_events`]: gating must reflect the events the
-    /// check will actually see (normalization can empty an event table,
-    /// which closes its gates). [`TouchedEvents::from_list`] over
-    /// [`Database::normalize_events_touched`]'s result does both in one
-    /// pass.
-    pub fn scan(db: &Database) -> Self {
-        Self::from_list(&db.touched_event_tables())
-    }
-
-    /// Build from an engine touched list (the shape
-    /// [`Database::normalize_events_touched`] returns), avoiding a second
-    /// scan of the captured set.
-    pub fn from_list(list: &[tintin_engine::TouchedTable]) -> Self {
-        let mut t = TouchedEvents::default();
-        for (has_ins, has_del, base) in list {
-            if *has_ins {
-                t.ins.insert(base.clone());
-            }
-            if *has_del {
-                t.del.insert(base.clone());
-            }
-        }
-        t
-    }
-
-    /// Iterate the touched event tables as `(is_insertion, base table)`.
-    pub fn iter(&self) -> impl Iterator<Item = (bool, &str)> + '_ {
-        self.ins
-            .iter()
-            .map(|t| (true, t.as_str()))
-            .chain(self.del.iter().map(|t| (false, t.as_str())))
-    }
-
-    /// Are there pending insertion (`is_ins`) or deletion events for
-    /// `table`?
-    pub fn contains(&self, is_ins: bool, table: &str) -> bool {
-        if is_ins {
-            self.ins.contains(table)
-        } else {
-            self.del.contains(table)
-        }
-    }
-
-    /// Does the pending update touch `table` at all (either event kind)?
-    pub fn touches_table(&self, table: &str) -> bool {
-        self.ins.contains(table) || self.del.contains(table)
-    }
-
-    /// No pending events anywhere?
-    pub fn is_empty(&self) -> bool {
-        self.ins.is_empty() && self.del.is_empty()
     }
 }
 
@@ -751,10 +686,10 @@ impl Tintin {
         for (assertion, source_sql) in parsed {
             let denials = match tintin_logic::translate_assertion(cat, &mut reg, assertion) {
                 Ok(d) => d,
-                Err(e)
-                    if self.config.aggregate_fallback
-                        && (e.message.contains("aggregate") || e.message.contains("GROUP BY")) =>
-                {
+                Err(TranslateError {
+                    kind: TranslateErrorKind::Unsupported(Feature::Aggregate | Feature::GroupBy),
+                    ..
+                }) if self.config.aggregate_fallback => {
                     // Aggregates: fall back to gated re-execution of the
                     // original query (the paper's future work, handled
                     // pragmatically).
@@ -860,7 +795,7 @@ impl Tintin {
         if self.config.check_initial_state {
             for a in &installed {
                 for q in &a.original_queries {
-                    let rs = db.query(q)?;
+                    let rs = db.query(q, ReadCtx::LATEST)?;
                     if !rs.is_empty() {
                         return Err(TintinError::InitialStateViolated {
                             assertion: a.name.clone(),
@@ -928,19 +863,18 @@ impl Tintin {
     /// Normalizes the events first, then delegates to
     /// [`Tintin::check_normalized`]. Callers checking *several*
     /// installations against one pending update (the session layer's
-    /// commit) should normalize and scan the touched tables once and call
-    /// `check_normalized` per installation instead.
+    /// commit) should normalize once and call `check_normalized` per
+    /// installation with the [`Touched`] set normalization returned.
     pub fn check_pending(
         &self,
         db: &mut Database,
         installation: &Installation,
     ) -> Result<(Vec<Violation>, CheckStats)> {
-        let (normalization, touched_list) = db.normalize_events_touched()?;
+        let (normalization, touched) = db.normalize_events()?;
         let mut stats = CheckStats {
             normalization,
             ..CheckStats::default()
         };
-        let touched = TouchedEvents::from_list(&touched_list);
         let violations = self.check_normalized(db, installation, &touched, &mut stats)?;
         Ok((violations, stats))
     }
@@ -951,12 +885,18 @@ impl Tintin {
     /// and run each through its prepared plan. Statistics (including
     /// plan-cache hits/recompiles) accumulate into `stats`.
     ///
+    /// `touched` must be what [`Database::normalize_events`] returned:
+    /// gating has to reflect the events the check will see, and
+    /// normalization can empty an event table, which closes its gates.
+    ///
     /// Checking is **read-only** (`&Database`): incremental views join the
     /// staged event tables against the committed state, and aggregate
     /// fallbacks evaluate the hypothetically-updated state by overlay
     /// composition instead of apply-and-undo. The session layer exploits
     /// this by running the whole check phase under the shared *read* lock,
-    /// concurrent with other sessions' reads.
+    /// concurrent with other sessions' reads. Every read is at
+    /// [`ReadCtx::LATEST`]: the staged events carry the committer's
+    /// unpublished timestamp, which no published snapshot sees.
     ///
     /// With the emptiness shortcut disabled every view and fallback is
     /// evaluated — the semantics-preserving baseline the relevance index is
@@ -965,7 +905,7 @@ impl Tintin {
         &self,
         db: &Database,
         installation: &Installation,
-        touched: &TouchedEvents,
+        touched: &Touched,
         stats: &mut CheckStats,
     ) -> Result<Vec<Violation>> {
         stats.views_total += installation.views.len();
@@ -977,10 +917,14 @@ impl Tintin {
             // touched event table are even looked at — O(touched), not
             // O(installed).
             let mut candidates: Vec<usize> = installation.relevance.ungated.clone();
-            for (is_ins, table) in touched.iter() {
-                if let Some(buckets) = installation.relevance.by_table.get(table) {
-                    let views = if is_ins { &buckets.ins } else { &buckets.del };
-                    candidates.extend(views.iter().copied());
+            for e in touched.iter() {
+                if let Some(buckets) = installation.relevance.by_table.get(&e.table) {
+                    if e.ins > 0 {
+                        candidates.extend(buckets.ins.iter().copied());
+                    }
+                    if e.del > 0 {
+                        candidates.extend(buckets.del.iter().copied());
+                    }
                 }
             }
             candidates.sort_unstable();
@@ -1023,8 +967,7 @@ impl Tintin {
                 .fallbacks
                 .iter()
                 .filter(|f| {
-                    !self.config.emptiness_shortcut
-                        || f.tables.iter().any(|t| touched.touches_table(t))
+                    !self.config.emptiness_shortcut || f.tables.iter().any(|t| touched.touches(t))
                 })
                 .collect();
             stats.fallbacks_skipped += installation.fallbacks.len() - relevant.len();
@@ -1037,6 +980,10 @@ impl Tintin {
                 // database, which is what lets the whole check run under a
                 // shared read lock.
                 let overlay = events_as_overlay(db, touched);
+                let read = ReadCtx {
+                    overlay: Some(&overlay),
+                    ..ReadCtx::LATEST
+                };
                 for f in relevant {
                     for (qi, plan) in f.plans.iter().enumerate() {
                         let resolved = plan.resolve(db)?;
@@ -1045,7 +992,7 @@ impl Tintin {
                         } else {
                             stats.plans_reused += 1;
                         }
-                        let rs = db.execute_plan(&resolved.plan, Some(&overlay))?;
+                        let rs = db.execute_plan(&resolved.plan, read)?;
                         if !rs.is_empty() {
                             violations.push(Violation {
                                 assertion: f.assertion.clone(),
@@ -1080,8 +1027,8 @@ impl Tintin {
         // Clean commits are the common case: probe for emptiness with an
         // early-exit execution, and materialize the violating tuples only
         // when there are any.
-        if db.plan_returns_rows(&resolved.plan, None)? {
-            let rs = db.execute_plan(&resolved.plan, None)?;
+        if db.plan_returns_rows(&resolved.plan, ReadCtx::LATEST)? {
+            let rs = db.execute_plan(&resolved.plan, ReadCtx::LATEST)?;
             let view = &installation.views[i];
             violations.push(Violation {
                 assertion: view.assertion.clone(),
@@ -1113,32 +1060,31 @@ impl Tintin {
     ) -> Result<CommitOutcome> {
         // One scan of the captured set (inside normalization) feeds the
         // whole commit: gating, counting, applying and truncating all reuse
-        // the touched list, keeping the critical section O(touched).
-        let (normalization, touched_list) = db.normalize_events_touched()?;
+        // the touched set, keeping the critical section O(touched).
+        let (normalization, touched) = db.normalize_events()?;
         let mut stats = CheckStats {
             normalization,
             ..CheckStats::default()
         };
-        let touched = TouchedEvents::from_list(&touched_list);
         let violations = match self.check_normalized(db, installation, &touched, &mut stats) {
             Ok(violations) => violations,
             Err(e) => {
-                db.truncate_events_for(&touched_list);
+                db.truncate_events(&touched);
                 return Err(e);
             }
         };
         if !violations.is_empty() {
-            db.truncate_events_for(&touched_list);
+            db.truncate_events(&touched);
             return Ok(CommitOutcome::Rejected { violations, stats });
         }
-        let (inserted, deleted) = db.pending_counts_for(&touched_list);
-        if !nothing_pending(&stats.normalization, &touched_list) {
+        let (inserted, deleted) = touched.counts();
+        if !nothing_pending(&stats.normalization, &touched) {
             let ts = db.next_commit_ts();
-            let applied = db.apply_pending_versioned_for(&touched_list, ts);
-            db.truncate_events_for(&touched_list);
+            let applied = db.apply_pending_versioned(&touched, ts);
+            db.truncate_events(&touched);
             applied?;
             db.publish_commit(ts);
-            db.maybe_gc_for(&touched_list, ts);
+            db.maybe_gc(&touched, ts);
         }
         Ok(CommitOutcome::Committed {
             inserted,
@@ -1160,12 +1106,12 @@ impl Tintin {
         db: &mut Database,
         installation: &Installation,
     ) -> Result<FullRecheckOutcome> {
-        let (normalization, touched_list) = db.normalize_events_touched()?;
+        let (normalization, touched) = db.normalize_events()?;
         let ts = db.next_commit_ts();
-        let applied = match db.apply_pending_versioned_for(&touched_list, ts) {
+        let applied = match db.apply_pending_versioned(&touched, ts) {
             Ok(applied) => applied,
             Err(e) => {
-                db.truncate_events_for(&touched_list);
+                db.truncate_events(&touched);
                 return Err(e.into());
             }
         };
@@ -1174,7 +1120,7 @@ impl Tintin {
             Ok(violations) => violations,
             Err(e) => {
                 db.unapply_pending_versioned(applied);
-                db.truncate_events_for(&touched_list);
+                db.truncate_events(&touched);
                 return Err(e);
             }
         };
@@ -1183,10 +1129,10 @@ impl Tintin {
         if !committed {
             db.unapply_pending_versioned(applied);
         }
-        db.truncate_events_for(&touched_list);
-        if committed && !nothing_pending(&normalization, &touched_list) {
+        db.truncate_events(&touched);
+        if committed && !nothing_pending(&normalization, &touched) {
             db.publish_commit(ts);
-            db.maybe_gc_for(&touched_list, ts);
+            db.maybe_gc(&touched, ts);
         }
         Ok(FullRecheckOutcome {
             committed,
@@ -1206,7 +1152,7 @@ impl Tintin {
         let mut violations = Vec::new();
         for a in &installation.assertions {
             for (qi, q) in a.original_queries.iter().enumerate() {
-                let rs = db.query(q)?;
+                let rs = db.query(q, ReadCtx::LATEST)?;
                 if !rs.is_empty() {
                     violations.push(Violation {
                         assertion: a.name.clone(),
@@ -1230,7 +1176,7 @@ impl Tintin {
         for a in &installation.assertions {
             let mut n = 0;
             for q in &a.original_queries {
-                n += db.query(q)?.len();
+                n += db.query(q, ReadCtx::LATEST)?.len();
             }
             out.push((a.name.clone(), n));
         }
@@ -1244,7 +1190,7 @@ impl Tintin {
 /// no-op commit (an empty transaction), which leaves the clock alone. An
 /// update that was staged but normalizes away still commits at a fresh
 /// timestamp, as it does on the server.
-fn nothing_pending(normalization: &NormalizationReport, touched: &[TouchedTable]) -> bool {
+fn nothing_pending(normalization: &NormalizationReport, touched: &Touched) -> bool {
     touched.is_empty() && normalization.total() == 0
 }
 
@@ -1309,27 +1255,22 @@ fn konst_value(k: &Konst) -> Value {
 /// insertion / deletion sets. Composed onto the committed state during
 /// evaluation it yields `(base − del) ∪ ins` — the hypothetically-updated
 /// state aggregate fallbacks check — without mutating anything.
-fn events_as_overlay(db: &Database, touched: &TouchedEvents) -> TxOverlay {
+fn events_as_overlay(db: &Database, touched: &Touched) -> TxOverlay {
     let mut overlay = TxOverlay::new();
-    for (is_ins, table) in touched.iter() {
-        let evt_name = if is_ins {
-            ins_table_name(table)
-        } else {
-            del_table_name(table)
-        };
-        let Some(evt) = db.table(&evt_name) else {
-            continue;
-        };
-        let delta = overlay.delta_mut(table);
-        if let Some(base) = db.table(table) {
+    for e in touched.iter() {
+        let delta = overlay.delta_mut(&e.table);
+        if let Some(base) = db.table(&e.table) {
             // Mirror the base table's indexes, so the fallback's probes
             // find the staged insertions by key.
             delta.index_keys(base.indexes().iter().map(|ix| ix.columns.clone()).collect());
         }
-        for (_, row) in evt.scan() {
-            if is_ins {
+        if let Some(ins) = db.table(&ins_table_name(&e.table)).filter(|_| e.ins > 0) {
+            for (_, row) in ins.scan() {
                 delta.push_ins(row.clone());
-            } else {
+            }
+        }
+        if let Some(del) = db.table(&del_table_name(&e.table)).filter(|_| e.del > 0) {
+            for (_, row) in del.scan() {
                 delta.push_del(row.clone());
             }
         }

@@ -13,16 +13,24 @@
 //! # Committing
 //!
 //! There is one commit mechanism: row-version MVCC.
-//! [`Database::normalize_events_touched`] makes the staged events
-//! consistent with the base tables, [`Database::apply_pending_versioned_for`]
-//! stamps them into the base tables as versions of the next commit
-//! timestamp, [`Database::truncate_events_for`] resets the event tables and
+//! [`Database::normalize_events`] makes the staged events consistent with
+//! the base tables and returns the [`Touched`] set — the event tables still
+//! holding rows, with their counts — that every later step takes:
+//! [`Database::apply_pending_versioned`] stamps the events into the base
+//! tables as versions of the next commit timestamp,
+//! [`Database::truncate_events`] resets the event tables and
 //! [`Database::publish_commit`] makes the timestamp visible. Until it is
 //! published, [`Database::unapply_pending_versioned`] withdraws the apply —
 //! which is how a rejected non-incremental recheck backs out. Session
 //! commits, recovery replay and the single-owner `safeCommit` all run this
 //! sequence; an open session transaction lives in its private
 //! [`TxOverlay`], not in the database.
+//!
+//! # Reading
+//!
+//! Every read takes a [`ReadCtx`]: the snapshot timestamp whose committed
+//! versions are visible and the reading transaction's overlay, if any.
+//! [`ReadCtx::LATEST`] reads every live version with no overlay.
 
 use crate::error::{EngineError, Result};
 use crate::hash::{FxHashMap, FxHashSet, SlotIndex};
@@ -60,10 +68,79 @@ pub fn del_table_name(table: &str) -> String {
     format!("del_{table}")
 }
 
-/// One row of the touched-event scan: `(has_insertion_events,
-/// has_deletion_events, base table)` — see
-/// [`Database::touched_event_tables`].
-pub type TouchedTable = (bool, bool, String);
+/// The state a read observes: the committed row versions visible at
+/// `snapshot`, composed with the reading transaction's pending updates —
+/// `(snapshot − overlay.del) ∪ overlay.ins`.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadCtx<'a> {
+    /// Commit timestamp whose versions are visible ([`TS_LATEST`]: every
+    /// live version, including ones stamped with an unpublished timestamp).
+    pub snapshot: u64,
+    /// The reading transaction's private overlay (read-your-writes).
+    pub overlay: Option<&'a TxOverlay>,
+}
+
+impl<'a> ReadCtx<'a> {
+    /// The live state with no overlay.
+    pub const LATEST: ReadCtx<'a> = ReadCtx {
+        snapshot: TS_LATEST,
+        overlay: None,
+    };
+}
+
+/// Pending event counts of one captured base table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableEvents {
+    /// The base table.
+    pub table: String,
+    /// Rows in its `ins_T` event table.
+    pub ins: usize,
+    /// Rows in its `del_T` event table.
+    pub del: usize,
+}
+
+/// The captured tables whose event tables hold rows, sorted by table name,
+/// with their event counts. [`Database::normalize_events`] computes it once
+/// per commit; checking, counting, applying, truncating and garbage
+/// collection all take it instead of re-scanning the captured set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Touched(Vec<TableEvents>);
+
+impl Touched {
+    /// No pending events anywhere?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Pending `(insertions, deletions)` summed over the touched tables.
+    pub fn counts(&self) -> (usize, usize) {
+        self.iter().fold((0, 0), |(i, d), e| (i + e.ins, d + e.del))
+    }
+
+    /// Are there pending insertion (`is_ins`) or deletion events for
+    /// `table`?
+    pub fn contains(&self, is_ins: bool, table: &str) -> bool {
+        self.get(table)
+            .is_some_and(|e| if is_ins { e.ins > 0 } else { e.del > 0 })
+    }
+
+    /// Does the pending update touch `table` at all (either event kind)?
+    pub fn touches(&self, table: &str) -> bool {
+        self.get(table).is_some()
+    }
+
+    /// The touched tables, sorted by name.
+    pub fn iter(&self) -> std::slice::Iter<'_, TableEvents> {
+        self.0.iter()
+    }
+
+    fn get(&self, table: &str) -> Option<&TableEvents> {
+        self.0
+            .binary_search_by(|e| e.table.as_str().cmp(table))
+            .ok()
+            .map(|i| &self.0[i])
+    }
+}
 
 /// Look up the `prefix` (`"ins_"` / `"del_"`) event table of `base` without
 /// allocating: the name is assembled in `buf` and the map is probed by
@@ -132,7 +209,7 @@ impl NormalizationReport {
     }
 }
 
-/// What one [`Database::apply_pending_versioned_for`] did to the base
+/// What one [`Database::apply_pending_versioned`] did to the base
 /// tables: the handle [`Database::unapply_pending_versioned`] needs to
 /// withdraw exactly that, without searching the tables for it.
 #[derive(Debug, Default)]
@@ -193,7 +270,7 @@ pub struct Database {
     /// DDL / capture change. Plan caches key on it — see [`PreparedQuery`].
     catalog_generation: u64,
     /// The last *published* commit timestamp. Snapshots capture this value
-    /// at `BEGIN`; [`Database::apply_pending_versioned_for`] stamps new and
+    /// at `BEGIN`; [`Database::apply_pending_versioned`] stamps new and
     /// deleted versions with `commit_ts + 1`, and
     /// [`Database::publish_commit`] makes that timestamp visible.
     commit_ts: u64,
@@ -227,11 +304,6 @@ impl Database {
     /// Look up a table (base or event) by name.
     pub fn table(&self, name: &str) -> Option<&Table> {
         self.tables.get(name)
-    }
-
-    /// Mutable table access (used by loaders; bypasses capture).
-    pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name)
     }
 
     /// Look up a view: its query and output column names.
@@ -514,85 +586,61 @@ impl Database {
     }
 
     /// Pending event counts `(inserts, deletes)` summed over all captured
-    /// tables, counting every live event row (including another commit's
-    /// in-flight staging — see [`Database::pending_counts_at`]).
-    pub fn pending_counts(&self) -> (usize, usize) {
-        self.pending_counts_at(TS_LATEST)
-    }
-
-    /// [`Database::pending_counts`] over a caller-supplied touched list
-    /// (from [`Database::normalize_events_touched`]).
-    pub fn pending_counts_for(&self, touched: &[TouchedTable]) -> (usize, usize) {
-        let mut buf = String::new();
-        let mut ins = 0;
-        let mut del = 0;
-        for (has_ins, has_del, t) in touched {
-            if *has_ins {
-                ins += event_table(&self.tables, &mut buf, "ins_", t).map_or(0, |x| x.len());
-            }
-            if *has_del {
-                del += event_table(&self.tables, &mut buf, "del_", t).map_or(0, |x| x.len());
-            }
-        }
-        (ins, del)
-    }
-
-    /// [`Database::pending_counts`] as visible to a snapshot taken at
-    /// commit timestamp `s`: event rows staged by an in-flight commit carry
-    /// its unpublished timestamp and are not counted. This is what
-    /// session-level observers use; the commit path itself counts its own
-    /// staging with [`Database::pending_counts_for`].
-    pub fn pending_counts_at(&self, s: u64) -> (usize, usize) {
+    /// tables, as visible to a snapshot taken at commit timestamp
+    /// `snapshot`: event rows staged by an in-flight commit carry its
+    /// unpublished timestamp and are counted only at [`TS_LATEST`]. The
+    /// commit path counts its own staging with [`Touched::counts`].
+    pub fn pending_counts(&self, snapshot: u64) -> (usize, usize) {
         let mut buf = String::new();
         let mut ins = 0;
         let mut del = 0;
         for t in &self.captured {
-            ins += event_table(&self.tables, &mut buf, "ins_", t).map_or(0, |x| x.len_at(s));
-            del += event_table(&self.tables, &mut buf, "del_", t).map_or(0, |x| x.len_at(s));
+            ins += event_table(&self.tables, &mut buf, "ins_", t).map_or(0, |x| x.len_at(snapshot));
+            del += event_table(&self.tables, &mut buf, "del_", t).map_or(0, |x| x.len_at(snapshot));
         }
         (ins, del)
     }
 
-    /// The captured base tables whose event tables hold pending rows, as
-    /// `(has_insertions, has_deletions, base table)`, sorted by table name.
-    /// One cheap pass — clean tables cost an allocation-free lookup each —
-    /// so commit-time consumers (TINTIN's relevance index) stay
-    /// O(touched) instead of re-probing event tables per check.
-    pub fn touched_event_tables(&self) -> Vec<TouchedTable> {
+    /// The captured base tables whose event tables hold pending rows. One
+    /// cheap pass — clean tables cost an allocation-free lookup each — so
+    /// commit-time consumers (TINTIN's relevance index) stay O(touched)
+    /// instead of re-probing event tables per check.
+    pub fn touched_event_tables(&self) -> Touched {
         let mut buf = String::new();
         let mut out = Vec::new();
         for base in &self.captured {
-            let ins =
-                event_table(&self.tables, &mut buf, "ins_", base).is_some_and(|t| !t.is_empty());
-            let del =
-                event_table(&self.tables, &mut buf, "del_", base).is_some_and(|t| !t.is_empty());
-            if ins || del {
-                out.push((ins, del, base.clone()));
+            let ins = event_table(&self.tables, &mut buf, "ins_", base).map_or(0, |t| t.len());
+            let del = event_table(&self.tables, &mut buf, "del_", base).map_or(0, |t| t.len());
+            if ins + del > 0 {
+                out.push(TableEvents {
+                    table: base.clone(),
+                    ins,
+                    del,
+                });
             }
         }
-        out.sort_by(|a, b| a.2.cmp(&b.2));
-        out
+        out.sort_by(|a, b| a.table.cmp(&b.table));
+        Touched(out)
     }
 
     /// Remove redundant events, making insertion and deletion sets disjoint
     /// and consistent with the base tables — the precondition the EDC
     /// machinery assumes (paper §2 formulas (2)/(3)).
-    pub fn normalize_events(&mut self) -> Result<NormalizationReport> {
-        Ok(self.normalize_events_touched()?.0)
-    }
-
-    /// Like [`Database::normalize_events`], additionally returning the
-    /// event tables that still hold rows *after* normalization (the
-    /// [`Database::touched_event_tables`] shape). The commit path scans the
-    /// captured set exactly once here and threads the result through
-    /// checking, applying and truncating instead of re-scanning per step.
-    pub fn normalize_events_touched(&mut self) -> Result<(NormalizationReport, Vec<TouchedTable>)> {
+    ///
+    /// Also returns the event tables that still hold rows *after*
+    /// normalization, with their counts. The commit path scans the captured
+    /// set exactly once here and threads the result through checking,
+    /// applying and truncating instead of re-scanning per step.
+    pub fn normalize_events(&mut self) -> Result<(NormalizationReport, Touched)> {
         let mut report = NormalizationReport::default();
         // Normalization is per-table; tables with no pending events have
         // nothing to normalize and are skipped without allocating.
-        let pre: Vec<TouchedTable> = self.touched_event_tables();
-        let mut post: Vec<TouchedTable> = Vec::with_capacity(pre.len());
-        for (_, _, base_name) in pre {
+        let pre = self.touched_event_tables();
+        let mut post = Vec::with_capacity(pre.0.len());
+        for TableEvents {
+            table: base_name, ..
+        } in pre.0
+        {
             let ins_name = ins_table_name(&base_name);
             let del_name = del_table_name(&base_name);
 
@@ -671,33 +719,32 @@ impl Database {
 
             // What survived normalization is what the rest of the commit
             // needs to look at.
-            let has_ins = !self.tables[&ins_name].is_empty();
-            let has_del = !self.tables[&del_name].is_empty();
-            if has_ins || has_del {
-                post.push((has_ins, has_del, base_name));
+            let ins = self.tables[&ins_name].len();
+            let del = self.tables[&del_name].len();
+            if ins + del > 0 {
+                post.push(TableEvents {
+                    table: base_name,
+                    ins,
+                    del,
+                });
             }
         }
-        Ok((report, post))
+        Ok((report, Touched(post)))
     }
 
-    /// Empty all event tables (the last step of `safeCommit`). Already-empty
-    /// event tables are left untouched (no allocation, no index clearing).
-    pub fn truncate_events(&mut self) {
-        let touched = self.touched_event_tables();
-        self.truncate_events_for(&touched);
-    }
-
-    /// [`Database::truncate_events`] over a caller-supplied touched list
-    /// (from [`Database::normalize_events_touched`]).
-    pub fn truncate_events_for(&mut self, touched: &[TouchedTable]) {
-        for (has_ins, has_del, t) in touched {
-            if *has_ins {
-                if let Some(t) = self.tables.get_mut(&ins_table_name(t)) {
+    /// Empty the `touched` event tables (the last step of `safeCommit`).
+    /// Event tables `touched` does not list are left alone (no allocation,
+    /// no index clearing); a caller without a list passes
+    /// [`Database::touched_event_tables`].
+    pub fn truncate_events(&mut self, touched: &Touched) {
+        for e in touched.iter() {
+            if e.ins > 0 {
+                if let Some(t) = self.tables.get_mut(&ins_table_name(&e.table)) {
                     t.truncate();
                 }
             }
-            if *has_del {
-                if let Some(t) = self.tables.get_mut(&del_table_name(t)) {
+            if e.del > 0 {
+                if let Some(t) = self.tables.get_mut(&del_table_name(&e.table)) {
                     t.truncate();
                 }
             }
@@ -756,7 +803,7 @@ impl Database {
     /// Publish `ts` as the latest commit timestamp: snapshots taken from
     /// now on see the versions a versioned apply stamped with it. Called
     /// under the exclusive write lock after a successful
-    /// [`Database::apply_pending_versioned_for`].
+    /// [`Database::apply_pending_versioned`].
     pub fn publish_commit(&mut self, ts: u64) {
         debug_assert!(ts > self.commit_ts, "commit timestamps are monotonic");
         self.commit_ts = ts;
@@ -774,35 +821,25 @@ impl Database {
     /// The staged, normalized effects of the in-flight commit on each
     /// touched base table, as `(table, inserted rows, deleted rows)` — the
     /// exact `ins_T`/`del_T` contents the incremental check validated.
-    /// Read between [`Database::normalize_events_touched`] and
-    /// [`Database::apply_pending_versioned_for`] (which moves the insertion
+    /// Read between [`Database::normalize_events`] and
+    /// [`Database::apply_pending_versioned`] (which moves the insertion
     /// events into the base tables); this is what the write-ahead log
     /// records, so recovery replays precisely what was checked.
-    pub fn staged_effects_for(
-        &self,
-        touched: &[TouchedTable],
-    ) -> Vec<(String, Vec<Row>, Vec<Row>)> {
-        let mut out = Vec::with_capacity(touched.len());
-        for (has_ins, has_del, base) in touched {
-            let collect = |name: &str| -> Vec<Row> {
-                self.tables
-                    .get(name)
-                    .map(|t| t.scan().map(|(_, r)| r.clone()).collect())
-                    .unwrap_or_default()
-            };
-            let ins = if *has_ins {
-                collect(&ins_table_name(base))
-            } else {
-                Vec::new()
-            };
-            let del = if *has_del {
-                collect(&del_table_name(base))
-            } else {
-                Vec::new()
-            };
-            out.push((base.clone(), ins, del));
-        }
-        out
+    pub fn staged_effects(&self, touched: &Touched) -> Vec<(String, Vec<Row>, Vec<Row>)> {
+        let collect = |n: usize, name: String| -> Vec<Row> {
+            match self.tables.get(&name) {
+                Some(t) if n > 0 => t.scan().map(|(_, r)| r.clone()).collect(),
+                _ => Vec::new(),
+            }
+        };
+        touched
+            .iter()
+            .map(|e| {
+                let ins = collect(e.ins, ins_table_name(&e.table));
+                let del = collect(e.del, del_table_name(&e.table));
+                (e.table.clone(), ins, del)
+            })
+            .collect()
     }
 
     /// First-committer-wins conflict detection for a transaction that
@@ -906,17 +943,17 @@ impl Database {
     ///
     /// The insertion events are *moved* into the base tables — afterwards
     /// the touched `ins_T` tables are empty (the `del_T` tables are left for
-    /// [`Database::truncate_events_for`]). A caller that needs the staged
-    /// effects ([`Database::staged_effects_for`]) reads them first.
+    /// [`Database::truncate_events`]). A caller that needs the staged
+    /// effects ([`Database::staged_effects`]) reads them first.
     ///
     /// On failure the partial apply is compensated by un-stamping — no undo
     /// log needed, since `ts` is not yet published and thus unobservable.
     /// On success the returned [`AppliedVersions`] lets the caller do the
     /// same ([`Database::unapply_pending_versioned`]) should a step
     /// *between* apply and publish fail.
-    pub fn apply_pending_versioned_for(
+    pub fn apply_pending_versioned(
         &mut self,
-        touched: &[TouchedTable],
+        touched: &Touched,
         ts: u64,
     ) -> Result<AppliedVersions> {
         let mut applied = AppliedVersions::default();
@@ -931,13 +968,13 @@ impl Database {
 
     fn apply_versions(
         &mut self,
-        touched: &[TouchedTable],
+        touched: &Touched,
         ts: u64,
         applied: &mut AppliedVersions,
     ) -> Result<()> {
         let mut buf = String::new();
         let mut ids: Vec<RowId> = Vec::new();
-        for (_, _, base_name) in touched.iter().filter(|(_, has_del, _)| *has_del) {
+        for base_name in touched.iter().filter(|e| e.del > 0).map(|e| &e.table) {
             let base = &self.tables[base_name];
             let del = event_table(&self.tables, &mut buf, "del_", base_name)
                 .expect("capture implies event table");
@@ -953,7 +990,7 @@ impl Database {
                 inserted: Vec::new(),
             });
         }
-        for (_, _, base_name) in touched.iter().filter(|(has_ins, _, _)| *has_ins) {
+        for base_name in touched.iter().filter(|e| e.ins > 0).map(|e| &e.table) {
             let rows = self
                 .tables
                 .get_mut(&ins_table_name(base_name))
@@ -973,7 +1010,7 @@ impl Database {
         Ok(())
     }
 
-    /// Withdraw a [`Database::apply_pending_versioned_for`]: versions it
+    /// Withdraw a [`Database::apply_pending_versioned`]: versions it
     /// stamped dead come back to life, versions it created are removed.
     /// O(update) — it visits exactly the versions the apply touched. Only
     /// valid while the apply's timestamp is unpublished, and before any
@@ -1015,11 +1052,11 @@ impl Database {
     /// horizon pinned by a long-lived snapshot cannot trigger a futile pass
     /// on every commit. Returns versions pruned (0 when nothing
     /// qualified).
-    pub fn maybe_gc_for(&mut self, touched: &[TouchedTable], horizon: u64) -> usize {
+    pub fn maybe_gc(&mut self, touched: &Touched, horizon: u64) -> usize {
         let mut pruned = 0;
         let mut ran = false;
-        for (_, _, base_name) in touched {
-            if let Some(t) = self.tables.get_mut(base_name) {
+        for e in touched.iter() {
+            if let Some(t) = self.tables.get_mut(&e.table) {
                 if t.version_counts().1 >= Self::GC_DEAD_THRESHOLD && t.has_prunable(horizon) {
                     pruned += t.gc(horizon);
                     ran = true;
@@ -1034,7 +1071,7 @@ impl Database {
     }
 
     /// Dead versions a table tolerates before commit-piggybacked GC kicks
-    /// in (see [`Database::maybe_gc_for`]).
+    /// in (see [`Database::maybe_gc`]).
     pub const GC_DEAD_THRESHOLD: usize = 256;
 
     /// Aggregate row-version statistics: live/dead counts across all
@@ -1056,35 +1093,10 @@ impl Database {
 
     // ----------------------------------------------------------- queries
 
-    /// Compile and run a query.
-    pub fn query(&self, q: &sql::Query) -> Result<ResultSet> {
-        self.query_with_overlay(q, None)
-    }
-
-    /// Compile and run a query with an optional transaction overlay visible:
-    /// base-table accesses then yield `(base − overlay.del) ∪ overlay.ins`,
-    /// giving the calling transaction read-your-writes over its own pending
-    /// updates without publishing them to anyone else.
-    pub fn query_with_overlay(
-        &self,
-        q: &sql::Query,
-        overlay: Option<&TxOverlay>,
-    ) -> Result<ResultSet> {
-        self.query_with_overlay_at(q, overlay, TS_LATEST)
-    }
-
-    /// [`Database::query_with_overlay`] pinned to the row versions visible
-    /// at commit timestamp `snapshot`: the full MVCC visible-state equation
-    /// `(snapshot − overlay.del) ∪ overlay.ins`. Pass
-    /// [`TS_LATEST`] for the live state.
-    pub fn query_with_overlay_at(
-        &self,
-        q: &sql::Query,
-        overlay: Option<&TxOverlay>,
-        snapshot: u64,
-    ) -> Result<ResultSet> {
+    /// Compile and run a query against the state `read` observes.
+    pub fn query(&self, q: &sql::Query, read: ReadCtx<'_>) -> Result<ResultSet> {
         let compiled = compile_query(self, q)?;
-        self.execute_plan_at(&compiled, overlay, snapshot)
+        self.execute_plan(&compiled, read)
     }
 
     /// Prepare a query: compile it against the current catalog and wrap it
@@ -1099,31 +1111,13 @@ impl Database {
         Ok(prepared)
     }
 
-    /// Run an already-compiled plan. The caller is responsible for the plan
-    /// being compiled against this database's current catalog generation —
-    /// [`PreparedQuery::resolve`] guarantees that.
-    pub fn execute_plan(
-        &self,
-        plan: &CompiledQuery,
-        overlay: Option<&TxOverlay>,
-    ) -> Result<ResultSet> {
-        self.execute_plan_at(plan, overlay, TS_LATEST)
-    }
-
-    /// [`Database::execute_plan`] against the row versions visible at
-    /// commit timestamp `snapshot` — how prepared vio-view plans and
-    /// session reads execute against a transaction's `BEGIN`-time state.
-    pub fn execute_plan_at(
-        &self,
-        plan: &CompiledQuery,
-        overlay: Option<&TxOverlay>,
-        snapshot: u64,
-    ) -> Result<ResultSet> {
-        let mut ctx = match overlay {
-            Some(o) => ExecCtx::with_overlay_at(self, o, snapshot),
-            None => ExecCtx::at_snapshot(self, snapshot),
-        };
-        let rows = query::execute(plan, &mut ctx)?;
+    /// Run an already-compiled plan against the state `read` observes. The
+    /// caller is responsible for the plan being compiled against this
+    /// database's current catalog generation — [`PreparedQuery::resolve`]
+    /// guarantees that, so a prepared query runs as
+    /// `db.execute_plan(&p.resolve(&db)?.plan, read)`.
+    pub fn execute_plan(&self, plan: &CompiledQuery, read: ReadCtx<'_>) -> Result<ResultSet> {
+        let rows = query::execute(plan, &mut ExecCtx::new(self, read))?;
         Ok(ResultSet {
             columns: plan.output_names.clone(),
             rows,
@@ -1133,52 +1127,15 @@ impl Database {
     /// Does the plan return at least one row? Short-circuits on the first
     /// hit — the fast path for emptiness checks, which never allocates a
     /// result set.
-    pub fn plan_returns_rows(
-        &self,
-        plan: &CompiledQuery,
-        overlay: Option<&TxOverlay>,
-    ) -> Result<bool> {
-        let mut ctx = match overlay {
-            Some(o) => ExecCtx::with_overlay(self, o),
-            None => ExecCtx::new(self),
-        };
-        query::query_returns_rows(plan, &mut ctx)
+    pub fn plan_returns_rows(&self, plan: &CompiledQuery, read: ReadCtx<'_>) -> Result<bool> {
+        query::query_returns_rows(plan, &mut ExecCtx::new(self, read))
     }
 
-    /// Run a prepared query, recompiling first if the catalog changed.
-    pub fn query_prepared(&self, p: &PreparedQuery) -> Result<ResultSet> {
-        self.query_prepared_with_overlay(p, None)
-    }
-
-    /// Run a prepared query with a transaction overlay visible
-    /// (read-your-writes, like [`Database::query_with_overlay`]). The
-    /// overlay affects only execution, never the cached plan: compilation
-    /// depends on the catalog alone.
-    pub fn query_prepared_with_overlay(
-        &self,
-        p: &PreparedQuery,
-        overlay: Option<&TxOverlay>,
-    ) -> Result<ResultSet> {
-        self.query_prepared_with_overlay_at(p, overlay, TS_LATEST)
-    }
-
-    /// [`Database::query_prepared_with_overlay`] pinned to the row versions
-    /// visible at commit timestamp `snapshot`: the cached plan (compilation
-    /// depends on the catalog alone) runs against a `BEGIN`-time state.
-    pub fn query_prepared_with_overlay_at(
-        &self,
-        p: &PreparedQuery,
-        overlay: Option<&TxOverlay>,
-        snapshot: u64,
-    ) -> Result<ResultSet> {
-        let resolved = p.resolve(self)?;
-        self.execute_plan_at(&resolved.plan, overlay, snapshot)
-    }
-
-    /// Parse and run a single query string.
+    /// Parse and run a single query string against the live state
+    /// ([`ReadCtx::LATEST`]).
     pub fn query_sql(&self, sql_text: &str) -> Result<ResultSet> {
         let q = sql::parse_query(sql_text)?;
-        self.query(&q)
+        self.query(&q, ReadCtx::LATEST)
     }
 
     /// Compile a query without running it (validation).
@@ -1190,12 +1147,6 @@ impl Database {
     pub fn explain(&self, q: &sql::Query) -> Result<String> {
         let compiled = compile_query(self, q)?;
         Ok(query::explain(self, &compiled))
-    }
-
-    /// Parse and explain a query string.
-    pub fn explain_sql(&self, sql_text: &str) -> Result<String> {
-        let q = sql::parse_query(sql_text)?;
-        self.explain(&q)
     }
 
     // --------------------------------------------------------- statements
@@ -1261,7 +1212,7 @@ impl Database {
                 let n = self.exec_update(upd)?;
                 Ok(StatementResult::RowsAffected(n))
             }
-            sql::Statement::Query(q) => Ok(StatementResult::Rows(self.query(q)?)),
+            sql::Statement::Query(q) => Ok(StatementResult::Rows(self.query(q, ReadCtx::LATEST)?)),
             sql::Statement::Begin
             | sql::Statement::Commit
             | sql::Statement::Rollback { .. }
@@ -1275,21 +1226,15 @@ impl Database {
     }
 
     fn exec_insert(&mut self, ins: &sql::Insert) -> Result<usize> {
-        let validated = self.insert_source_rows(ins, None, TS_LATEST)?;
+        let validated = self.insert_source_rows(ins, ReadCtx::LATEST)?;
         self.apply_validated_inserts(&ins.table, validated)
     }
 
     /// Compute the fully-positional, schema-validated, constraint-checked
-    /// rows an `INSERT` statement proposes, without applying them. The
-    /// optional overlay makes `INSERT … SELECT` sources and `CHECK`
-    /// subqueries observe the calling transaction's pending updates, and
-    /// `snapshot` pins which committed versions they see.
-    fn insert_source_rows(
-        &self,
-        ins: &sql::Insert,
-        overlay: Option<&TxOverlay>,
-        snapshot: u64,
-    ) -> Result<Vec<Row>> {
+    /// rows an `INSERT` statement proposes, without applying them.
+    /// `INSERT … SELECT` sources and `CHECK` subqueries observe the state
+    /// `read` describes.
+    fn insert_source_rows(&self, ins: &sql::Insert, read: ReadCtx<'_>) -> Result<Vec<Row>> {
         let target = self
             .tables
             .get(&ins.table)
@@ -1321,7 +1266,7 @@ impl Database {
                 out
             }
             sql::InsertSource::Query(q) => self
-                .query_with_overlay_at(q, overlay, snapshot)?
+                .query(q, read)?
                 .rows
                 .into_iter()
                 .map(|r| r.into_vec())
@@ -1354,7 +1299,7 @@ impl Database {
             .into_iter()
             .map(|r| target.validate(r))
             .collect::<Result<_>>()?;
-        self.check_row_constraints(&ins.table, &validated, overlay, snapshot)?;
+        self.check_row_constraints(&ins.table, &validated, read)?;
         Ok(validated)
     }
 
@@ -1371,7 +1316,7 @@ impl Database {
                 .map(|r| t.validate(r))
                 .collect::<Result<_>>()?
         };
-        self.check_row_constraints(table, &validated, None, TS_LATEST)?;
+        self.check_row_constraints(table, &validated, ReadCtx::LATEST)?;
         self.apply_validated_inserts(table, validated)
     }
 
@@ -1422,7 +1367,7 @@ impl Database {
         };
         let compiled = query::compile_row_predicate(self, &t.schema.name, binding, pred)?;
         let probe = key_probe(t, binding, pred, self)?;
-        let mut ctx = ExecCtx::new(self);
+        let mut ctx = ExecCtx::new(self, ReadCtx::LATEST);
         let mut hits = Vec::new();
         let mut visit = |id: RowId, row: &'a Row| -> Result<()> {
             if query::eval_row_predicate(&compiled, row, &mut ctx)? == Truth::True {
@@ -1514,7 +1459,7 @@ impl Database {
         }
         let mut replacements: Vec<(RowId, Row, Vec<Value>)> = Vec::new();
         {
-            let mut ctx = ExecCtx::new(self);
+            let mut ctx = ExecCtx::new(self, ReadCtx::LATEST);
             for (id, old) in &matching {
                 let mut new_row = old.to_vec();
                 for (p, ce) in positions.iter().zip(&compiled_values) {
@@ -1532,7 +1477,7 @@ impl Database {
                 .map(|(_, _, new)| t.validate(new.clone()))
                 .collect::<Result<_>>()?
         };
-        self.check_row_constraints(&upd.table, &validated, None, TS_LATEST)?;
+        self.check_row_constraints(&upd.table, &validated, ReadCtx::LATEST)?;
 
         if self.captured.contains(&upd.table) {
             // Record del(old) + ins(new) events; skip no-op rows.
@@ -1585,9 +1530,9 @@ impl Database {
     // ----------------------------------------------- transaction planning
 
     /// Plan the effect of one DML statement against the state a transaction
-    /// observes — base tables composed with its private [`TxOverlay`] —
-    /// without mutating anything. The caller folds the returned
-    /// [`DmlDelta`] into its overlay
+    /// observes — the row versions visible at commit timestamp `snapshot`
+    /// composed with its private [`TxOverlay`] — without mutating anything.
+    /// The caller folds the returned [`DmlDelta`] into its overlay
     /// ([`TxOverlay::apply_delta`]); at `COMMIT` the accumulated overlay is
     /// published with [`Database::stage_overlay`] and run through
     /// `safeCommit`.
@@ -1595,26 +1540,22 @@ impl Database {
     /// Because matching happens on the overlaid state, a transaction's DML
     /// reads its own writes: a `DELETE` can remove a row the same
     /// transaction inserted (the pending insertion is retracted), and an
-    /// `UPDATE` can modify it (retract + re-insert).
-    pub fn plan_dml(&self, stmt: &sql::Statement, overlay: &TxOverlay) -> Result<DmlDelta> {
-        self.plan_dml_at(stmt, overlay, TS_LATEST)
-    }
-
-    /// [`Database::plan_dml`] against the row versions visible at commit
-    /// timestamp `snapshot` — a transaction's statements match and validate
-    /// against its `BEGIN`-time state plus its own pending updates, never
-    /// against rows committed concurrently (those surface at `COMMIT` as
-    /// serialization conflicts instead; see
-    /// [`Database::detect_conflicts`]).
-    pub fn plan_dml_at(
+    /// `UPDATE` can modify it (retract + re-insert). Rows committed after
+    /// `snapshot` are never matched; they surface at `COMMIT` as
+    /// serialization conflicts instead (see [`Database::detect_conflicts`]).
+    pub fn plan_dml(
         &self,
         stmt: &sql::Statement,
         overlay: &TxOverlay,
         snapshot: u64,
     ) -> Result<DmlDelta> {
+        let read = ReadCtx {
+            snapshot,
+            overlay: Some(overlay),
+        };
         let mut delta = match stmt {
             sql::Statement::Insert(ins) => {
-                let rows = self.insert_source_rows(ins, Some(overlay), snapshot)?;
+                let rows = self.insert_source_rows(ins, read)?;
                 DmlDelta {
                     table: ins.table.clone(),
                     rows_affected: rows.len(),
@@ -1689,7 +1630,11 @@ impl Database {
         };
         let binding = alias.cloned().unwrap_or_else(|| table.to_string());
         let compiled = query::compile_row_predicate(self, table, &binding, pred)?;
-        let mut ctx = ExecCtx::with_overlay_at(self, overlay, snapshot);
+        let read = ReadCtx {
+            snapshot,
+            overlay: Some(overlay),
+        };
+        let mut ctx = ExecCtx::new(self, read);
         let mut matching = |row, out: &mut Vec<Row>| push_if_true(&compiled, row, &mut ctx, out);
         let mut base = Vec::new();
         let mut pending = Vec::new();
@@ -1789,7 +1734,11 @@ impl Database {
             rows_affected: base.len() + pending.len(),
             ..DmlDelta::default()
         };
-        let mut ctx = ExecCtx::with_overlay_at(self, overlay, snapshot);
+        let read = ReadCtx {
+            snapshot,
+            overlay: Some(overlay),
+        };
+        let mut ctx = ExecCtx::new(self, read);
         let matched = base
             .iter()
             .map(|r| (r, false))
@@ -1811,7 +1760,7 @@ impl Database {
             delta.ins.push(new);
         }
         delta.del = dedup_rows(delta.del);
-        self.check_row_constraints(&upd.table, &delta.ins, Some(overlay), snapshot)?;
+        self.check_row_constraints(&upd.table, &delta.ins, read)?;
         Ok(delta)
     }
 
@@ -1826,18 +1775,12 @@ impl Database {
     /// apply / truncate steps treat them exactly as before the overlay
     /// design.
     ///
-    /// Event rows are staged with `begin = 0`, visible to any snapshot —
-    /// the single-owner / dry-run behaviour. The phased commit stages with
-    /// [`Database::stage_overlay_at`] instead, so concurrent readers cannot
-    /// observe the staging.
-    pub fn stage_overlay(&mut self, overlay: TxOverlay) -> Result<()> {
-        self.stage_overlay_at(overlay, 0)
-    }
-
-    /// [`Database::stage_overlay`], stamping every staged event row with
-    /// `begin = ts` — the committer's *unpublished* commit timestamp.
+    /// Every staged event row is stamped with `begin = ts`. `ts = 0` makes
+    /// the rows visible to any snapshot — the single-owner / dry-run
+    /// behaviour. The phased commit passes its *unpublished* commit
+    /// timestamp instead.
     ///
-    /// This is what keeps a phased commit's staging private while its check
+    /// That stamp is what keeps a phased commit's staging private while its check
     /// phase runs outside the exclusive lock: a reader at any registered
     /// snapshot (or at the published clock) filters versions by
     /// `begin <= snapshot`, and `ts` is published only after the event
@@ -1850,7 +1793,7 @@ impl Database {
     /// were planned — are moved into the event tables in proposal order,
     /// neither copied nor re-coerced. A caller that keeps its overlay (a
     /// dry run) stages a clone.
-    pub fn stage_overlay_at(&mut self, overlay: TxOverlay, ts: u64) -> Result<()> {
+    pub fn stage_overlay(&mut self, overlay: TxOverlay, ts: u64) -> Result<()> {
         for (table, delta) in overlay.into_deltas() {
             let (ins, del) = delta.into_rows();
             if self.is_event_table(&table) {
@@ -1906,13 +1849,7 @@ impl Database {
     }
 
     /// Evaluate the schema's CHECK constraints against candidate rows.
-    fn check_row_constraints(
-        &self,
-        table: &str,
-        rows: &[Row],
-        overlay: Option<&TxOverlay>,
-        snapshot: u64,
-    ) -> Result<()> {
+    fn check_row_constraints(&self, table: &str, rows: &[Row], read: ReadCtx<'_>) -> Result<()> {
         let t = &self.tables[table];
         if t.schema.checks.is_empty() {
             return Ok(());
@@ -1920,10 +1857,7 @@ impl Database {
         let checks = t.schema.checks.clone();
         for check in &checks {
             let compiled = query::compile_row_predicate(self, table, table, check)?;
-            let mut ctx = match overlay {
-                Some(o) => ExecCtx::with_overlay_at(self, o, snapshot),
-                None => ExecCtx::at_snapshot(self, snapshot),
-            };
+            let mut ctx = ExecCtx::new(self, read);
             for row in rows {
                 // SQL CHECK semantics: only definite False rejects.
                 if query::eval_row_predicate(&compiled, row, &mut ctx)? == Truth::False {
@@ -2179,6 +2113,98 @@ mod tests {
     use super::*;
     use crate::hash::hash_values;
 
+    /// The counts `touched` carries are the event tables' lengths, table by
+    /// table and in total.
+    fn assert_touched_counts(db: &Database, touched: &Touched, rule: &str) {
+        assert_eq!(touched.counts(), db.pending_counts(TS_LATEST), "{rule}");
+        for base in db.captured_tables() {
+            let ins = db.table(&ins_table_name(&base)).unwrap().len();
+            let del = db.table(&del_table_name(&base)).unwrap().len();
+            let entry = touched.iter().find(|e| e.table == base);
+            assert_eq!(
+                entry.map_or((0, 0), |e| (e.ins, e.del)),
+                (ins, del),
+                "{rule}: {base}"
+            );
+            assert_eq!(touched.touches(&base), ins + del > 0, "{rule}: {base}");
+            assert_eq!(touched.contains(true, &base), ins > 0, "{rule}: {base}");
+            assert_eq!(touched.contains(false, &base), del > 0, "{rule}: {base}");
+        }
+    }
+
+    #[test]
+    fn touched_counts_match_event_tables_after_each_normalization_rule() {
+        fn row(a: i64) -> Vec<Value> {
+            vec![Value::Int(a), Value::Int(a)]
+        }
+        /// A rule's name, how to stage events it fires on, and its counter.
+        type Rule = (
+            &'static str,
+            fn(&mut Database),
+            fn(&NormalizationReport) -> usize,
+        );
+        let rules: [Rule; 5] = [
+            (
+                "dup ins",
+                |db| {
+                    db.insert_direct("ins_t", vec![row(5), row(5), row(6)])
+                        .unwrap();
+                },
+                |r| r.dup_ins,
+            ),
+            (
+                "dup del",
+                |db| {
+                    db.insert_direct("del_t", vec![row(1), row(1), row(2)])
+                        .unwrap();
+                },
+                |r| r.dup_del,
+            ),
+            (
+                "missing del",
+                |db| {
+                    db.insert_direct("del_t", vec![row(9), row(2)]).unwrap();
+                },
+                |r| r.missing_del,
+            ),
+            (
+                "cancelled pair",
+                |db| {
+                    db.insert_direct("ins_t", vec![row(1), row(7)]).unwrap();
+                    db.insert_direct("del_t", vec![row(1)]).unwrap();
+                },
+                |r| r.cancelled,
+            ),
+            (
+                "no-op ins",
+                |db| {
+                    db.insert_direct("ins_t", vec![row(2), row(8)]).unwrap();
+                },
+                |r| r.noop_ins,
+            ),
+        ];
+        for (rule, stage, fired) in rules {
+            let mut db = Database::new();
+            db.execute_sql(
+                "CREATE TABLE t (a INT PRIMARY KEY, b INT);
+                 CREATE TABLE u (x INT PRIMARY KEY, y INT);
+                 CREATE TABLE quiet (q INT);
+                 INSERT INTO t VALUES (1, 1), (2, 2);",
+            )
+            .unwrap();
+            for table in ["t", "u", "quiet"] {
+                db.enable_capture(table).unwrap();
+            }
+            db.execute_sql("INSERT INTO u VALUES (3, 3)").unwrap();
+            stage(&mut db);
+            assert_touched_counts(&db, &db.touched_event_tables(), rule);
+            let (report, touched) = db.normalize_events().unwrap();
+            assert!(fired(&report) > 0, "{rule} did not fire: {report:?}");
+            assert_touched_counts(&db, &touched, rule);
+            assert!(!touched.touches("quiet"), "{rule}");
+        }
+    }
+
     #[test]
     fn collision_planned_writes_check_keys_not_buckets() {
         // Unit tests keep three hash bits: these keys share one bucket.
@@ -2192,7 +2218,7 @@ mod tests {
         ))
         .unwrap();
         let plan = |db: &Database, overlay: &TxOverlay, stmt: String| {
-            db.plan_dml(&sql::parse_statement(&stmt).unwrap(), overlay)
+            db.plan_dml(&sql::parse_statement(&stmt).unwrap(), overlay, TS_LATEST)
         };
         let unique_violation =
             |r: Result<DmlDelta>| matches!(r, Err(EngineError::UniqueViolation { .. }));

@@ -70,7 +70,7 @@ pub mod value;
 pub use copy::CopyOptions;
 pub use database::{
     del_table_name, ins_table_name, AppliedVersions, Database, EventSnapshot, MvccStats,
-    NormalizationReport, StatementResult, TouchedTable,
+    NormalizationReport, ReadCtx, StatementResult, TableEvents, Touched,
 };
 pub use error::{EngineError, Result};
 pub use overlay::{DmlDelta, TableDelta, TxOverlay};

@@ -6,7 +6,8 @@
 //! interleaved transactions would mix their events and each would observe
 //! the other's uncommitted state. Instead every open transaction keeps its
 //! pending insertions and deletions in a private [`TxOverlay`], and the
-//! query evaluator composes the state that transaction observes on the fly.
+//! query evaluator composes the state that transaction observes on the fly
+//! from a [`ReadCtx`](crate::ReadCtx) carrying the overlay and the snapshot.
 //! Base-table accesses are pinned to the transaction's `BEGIN`-time MVCC
 //! snapshot (the row versions visible at its snapshot timestamp — see
 //! [`SharedDatabase::begin_snapshot`](crate::SharedDatabase::begin_snapshot)),

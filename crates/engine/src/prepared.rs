@@ -32,11 +32,10 @@ use tintin_sql as sql;
 
 /// A query with a cached compiled plan, keyed on the catalog generation.
 ///
-/// Create with [`Database::prepare`]; execute with
-/// [`Database::query_prepared`] (or
-/// [`Database::query_prepared_with_overlay`] for read-your-writes), or
-/// resolve the plan explicitly with [`PreparedQuery::resolve`] to observe
-/// cache behaviour.
+/// Create with [`Database::prepare`]; run by resolving the plan and
+/// executing it, `db.execute_plan(&p.resolve(&db)?.plan, read)` (see
+/// [`Database::execute_plan`]). [`PreparedQuery::resolve`] also reports
+/// whether the plan was recompiled.
 #[derive(Debug)]
 pub struct PreparedQuery {
     query: sql::Query,

@@ -5,10 +5,9 @@ use super::agg::Acc;
 use super::compile::{
     compile_query, Access, CBody, CExpr, CInSub, CompiledQuery, CompiledSelect, MatRef,
 };
-use crate::database::Database;
+use crate::database::{Database, ReadCtx};
 use crate::error::{EngineError, Result};
 use crate::hash::{FxHashMap, FxHashSet};
-use crate::overlay::TxOverlay;
 use crate::value::{Truth, Value};
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -80,18 +79,13 @@ impl BoundRow<'_> {
 /// Execution context: the database, the binding-frame stack, and the
 /// materialization caches (shared across one top-level execution).
 ///
-/// An optional [`TxOverlay`] supplies read-your-writes semantics, and a
-/// snapshot timestamp pins which committed row versions table scans and
-/// index probes observe. Together they compose the state a transaction
-/// sees: `(snapshot − overlay.del) ∪ overlay.ins` — the transaction's
-/// `BEGIN`-time state plus its own pending updates, regardless of what
-/// other sessions commit meanwhile.
+/// The [`ReadCtx`] fixes what table scans and index probes observe: the
+/// committed row versions visible at its snapshot, composed with its
+/// optional overlay — a transaction's `BEGIN`-time state plus its own
+/// pending updates, regardless of what other sessions commit meanwhile.
 pub struct ExecCtx<'a> {
     pub db: &'a Database,
-    overlay: Option<&'a TxOverlay>,
-    /// Commit timestamp whose versions are visible
-    /// ([`crate::table::TS_LATEST`] = live state).
-    snapshot: u64,
+    read: ReadCtx<'a>,
     frames: Vec<Vec<BoundRow<'a>>>,
     /// Spare index-probe key buffers: each join level takes one while it
     /// probes and gives it back, so keys are not allocated per outer row.
@@ -102,44 +96,16 @@ pub struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
-    pub fn new(db: &'a Database) -> Self {
+    /// A context reading `db` as `read` describes.
+    pub fn new(db: &'a Database, read: ReadCtx<'a>) -> Self {
         ExecCtx {
             db,
-            overlay: None,
-            snapshot: crate::table::TS_LATEST,
+            read,
             frames: Vec::new(),
             key_bufs: Vec::new(),
             view_cache: FxHashMap::default(),
             derived_cache: FxHashMap::default(),
             materializing: Vec::new(),
-        }
-    }
-
-    /// A context that evaluates every base-table access through a
-    /// transaction's pending-update overlay (read-your-writes).
-    pub fn with_overlay(db: &'a Database, overlay: &'a TxOverlay) -> Self {
-        ExecCtx {
-            overlay: Some(overlay),
-            ..ExecCtx::new(db)
-        }
-    }
-
-    /// A context pinned to the row versions visible at commit timestamp
-    /// `snapshot` (MVCC snapshot reads).
-    pub fn at_snapshot(db: &'a Database, snapshot: u64) -> Self {
-        ExecCtx {
-            snapshot,
-            ..ExecCtx::new(db)
-        }
-    }
-
-    /// Snapshot visibility plus a transaction's pending-update overlay: the
-    /// full visible-state equation `(snapshot − del) ∪ ins`.
-    pub fn with_overlay_at(db: &'a Database, overlay: &'a TxOverlay, snapshot: u64) -> Self {
-        ExecCtx {
-            overlay: Some(overlay),
-            snapshot,
-            ..ExecCtx::new(db)
         }
     }
 
@@ -409,8 +375,8 @@ fn bind_source<'a>(
             let t = db
                 .table(table)
                 .ok_or_else(|| EngineError::NoSuchTable(table.clone()))?;
-            let delta = ctx.overlay.and_then(|o| o.delta(table));
-            for (_, row) in t.scan_at(ctx.snapshot) {
+            let delta = ctx.read.overlay.and_then(|o| o.delta(table));
+            for (_, row) in t.scan_at(ctx.read.snapshot) {
                 if delta.is_some_and(|d| d.hides(row)) {
                     continue;
                 }
@@ -438,7 +404,7 @@ fn bind_source<'a>(
             let t = db
                 .table(table)
                 .ok_or_else(|| EngineError::NoSuchTable(table.clone()))?;
-            let delta = ctx.overlay.and_then(|o| o.delta(table));
+            let delta = ctx.read.overlay.and_then(|o| o.delta(table));
             let columns = &t.indexes()[*index].columns;
             // One key buffer per join level, reused for every outer row.
             let mut kv = ctx.key_bufs.pop().unwrap_or_default();
@@ -458,7 +424,7 @@ fn bind_source<'a>(
                 // Probes return versions; visibility filters them to the
                 // snapshot.
                 for id in t.probe(*index, &kv) {
-                    let Some(row) = t.get_at(id, ctx.snapshot) else {
+                    let Some(row) = t.get_at(id, ctx.read.snapshot) else {
                         continue;
                     };
                     if delta.is_some_and(|d| d.hides(row)) {

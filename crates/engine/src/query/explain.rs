@@ -249,6 +249,11 @@ fn mat_name(mat: &MatRef) -> String {
 mod tests {
     use crate::Database;
 
+    fn explain(db: &Database, sql_text: &str) -> String {
+        db.explain(&tintin_sql::parse_query(sql_text).unwrap())
+            .unwrap()
+    }
+
     fn db() -> Database {
         let mut db = Database::new();
         db.execute_sql(
@@ -263,12 +268,11 @@ mod tests {
     #[test]
     fn explain_shows_probe_for_correlated_not_exists() {
         let d = db();
-        let plan = d
-            .explain_sql(
-                "SELECT * FROM orders o WHERE NOT EXISTS (
-                     SELECT 1 FROM lineitem l WHERE l.l_orderkey = o.o_orderkey)",
-            )
-            .unwrap();
+        let plan = explain(
+            &d,
+            "SELECT * FROM orders o WHERE NOT EXISTS (
+                 SELECT 1 FROM lineitem l WHERE l.l_orderkey = o.o_orderkey)",
+        );
         assert!(plan.contains("Scan orders as o"), "{plan}");
         assert!(plan.contains("AntiJoin (NOT EXISTS)"), "{plan}");
         assert!(
@@ -280,9 +284,10 @@ mod tests {
     #[test]
     fn explain_shows_sort_and_limit() {
         let d = db();
-        let plan = d
-            .explain_sql("SELECT o_orderkey FROM orders ORDER BY o_orderkey DESC LIMIT 3")
-            .unwrap();
+        let plan = explain(
+            &d,
+            "SELECT o_orderkey FROM orders ORDER BY o_orderkey DESC LIMIT 3",
+        );
         assert!(plan.contains("Sort [o_orderkey DESC]"), "{plan}");
         assert!(plan.contains("Limit 3"), "{plan}");
     }
@@ -290,12 +295,11 @@ mod tests {
     #[test]
     fn explain_shows_aggregate_header() {
         let d = db();
-        let plan = d
-            .explain_sql(
-                "SELECT l_orderkey, COUNT(*) FROM lineitem GROUP BY l_orderkey
-                 HAVING COUNT(*) > 1",
-            )
-            .unwrap();
+        let plan = explain(
+            &d,
+            "SELECT l_orderkey, COUNT(*) FROM lineitem GROUP BY l_orderkey
+             HAVING COUNT(*) > 1",
+        );
         assert!(plan.contains("aggregate[1 keys, 2 accs]"), "{plan}");
     }
 }

@@ -29,13 +29,13 @@ pub use exec::{
 };
 pub use explain::explain;
 
-use crate::database::Database;
+use crate::database::{Database, ReadCtx};
 use crate::error::Result;
 use crate::value::Value;
 
 /// Evaluate a constant (row-independent) expression, e.g. a `VALUES` item.
 pub fn eval_const(db: &Database, e: &tintin_sql::Expr) -> Result<Value> {
     let ce = compile::compile_const_expr(db, e)?;
-    let mut ctx = ExecCtx::new(db);
+    let mut ctx = ExecCtx::new(db, ReadCtx::LATEST);
     exec::eval_scalar(&ce, &mut ctx)
 }

@@ -29,7 +29,7 @@
 //! sessions commit.
 //!
 //! Old versions are pruned by garbage collection
-//! ([`Database::gc_versions`] / [`Database::maybe_gc_for`]) once no live
+//! ([`Database::gc_versions`] / [`Database::maybe_gc`]) once no live
 //! snapshot can see them; the registry of live snapshots behind
 //! [`SharedDatabase::begin_snapshot`] supplies the horizon
 //! ([`SharedDatabase::gc_horizon`]).

@@ -3,11 +3,16 @@
 //! move the catalog generation, and a stale plan would read wrong column
 //! positions or dangling index ids.
 
-use tintin_engine::{Database, TxOverlay, Value};
+use tintin_engine::{Database, PreparedQuery, ReadCtx, ResultSet, TxOverlay, Value, TS_LATEST};
 use tintin_sql as sql;
 
 fn q(text: &str) -> sql::Query {
     sql::parse_query(text).unwrap()
+}
+
+/// Run a prepared query, recompiling first if the catalog changed.
+fn run(db: &Database, p: &PreparedQuery, read: ReadCtx<'_>) -> tintin_engine::Result<ResultSet> {
+    db.execute_plan(&p.resolve(db)?.plan, read)
 }
 
 fn plan_text(db: &Database, p: &tintin_engine::PreparedQuery) -> String {
@@ -33,20 +38,20 @@ fn prepared_query_caches_across_data_changes() {
     db.enable_capture("t").unwrap(); // catalog change (event tables appear)
     assert!(p.resolve(&db).unwrap().recompiled);
     db.execute_sql("INSERT INTO t VALUES (3, 30)").unwrap(); // captured: data only
-    let (_, touched) = db.normalize_events_touched().unwrap();
+    let (_, touched) = db.normalize_events().unwrap();
     let ts = db.next_commit_ts();
-    let applied = db.apply_pending_versioned_for(&touched, ts).unwrap();
+    let applied = db.apply_pending_versioned(&touched, ts).unwrap();
     db.unapply_pending_versioned(applied);
-    db.truncate_events_for(&touched);
+    db.truncate_events(&touched);
     assert!(!p.resolve(&db).unwrap().recompiled);
     db.execute_sql("DELETE FROM t WHERE a = 2").unwrap();
-    let (_, touched) = db.normalize_events_touched().unwrap();
-    db.apply_pending_versioned_for(&touched, ts).unwrap();
-    db.truncate_events_for(&touched);
+    let (_, touched) = db.normalize_events().unwrap();
+    db.apply_pending_versioned(&touched, ts).unwrap();
+    db.truncate_events(&touched);
     db.publish_commit(ts);
     db.gc_versions(ts);
     assert!(!p.resolve(&db).unwrap().recompiled);
-    let rs = db.query_prepared(&p).unwrap();
+    let rs = run(&db, &p, ReadCtx::LATEST).unwrap();
     assert_eq!(rs.rows[0][0], Value::Int(10));
 }
 
@@ -85,7 +90,7 @@ fn drop_index_reverts_probe_to_scan() {
     assert!(text.contains("Scan t"), "plan falls back to a scan: {text}");
     // The stale plan's index id would now be dangling — the recompiled one
     // still answers correctly.
-    let rs = db.query_prepared(&p).unwrap();
+    let rs = run(&db, &p, ReadCtx::LATEST).unwrap();
     assert_eq!(rs.len(), 1);
     assert_eq!(rs.rows[0][0], Value::Int(1));
 }
@@ -112,7 +117,10 @@ fn drop_and_recreate_table_never_runs_a_stale_plan() {
     )
     .unwrap();
     let p = db.prepare(&q("SELECT b FROM t")).unwrap();
-    assert_eq!(db.query_prepared(&p).unwrap().rows[0][0], Value::Int(10));
+    assert_eq!(
+        run(&db, &p, ReadCtx::LATEST).unwrap().rows[0][0],
+        Value::Int(10)
+    );
     // Recreate the table with the column order flipped: a stale plan would
     // project position 1 and return `a` instead of `b`.
     db.execute_sql(
@@ -123,7 +131,7 @@ fn drop_and_recreate_table_never_runs_a_stale_plan() {
     .unwrap();
     let resolved = p.resolve(&db).unwrap();
     assert!(resolved.recompiled);
-    let rs = db.query_prepared(&p).unwrap();
+    let rs = run(&db, &p, ReadCtx::LATEST).unwrap();
     assert_eq!(
         rs.rows[0][0],
         Value::Int(77),
@@ -131,7 +139,7 @@ fn drop_and_recreate_table_never_runs_a_stale_plan() {
     );
     // Dropping the table entirely surfaces as an error, not a stale read.
     db.execute_sql("DROP TABLE t").unwrap();
-    assert!(db.query_prepared(&p).is_err());
+    assert!(run(&db, &p, ReadCtx::LATEST).is_err());
 }
 
 #[test]
@@ -166,21 +174,29 @@ fn prepared_execution_matches_adhoc_and_sees_overlays() {
     .unwrap();
     let query = q("SELECT a, b FROM t WHERE b >= 10 ORDER BY a");
     let p = db.prepare(&query).unwrap();
-    assert_eq!(db.query_prepared(&p).unwrap(), db.query(&query).unwrap());
+    assert_eq!(
+        run(&db, &p, ReadCtx::LATEST).unwrap(),
+        db.query(&query, ReadCtx::LATEST).unwrap()
+    );
     // The overlay affects execution only, never the cached plan.
     let mut overlay = TxOverlay::new();
     let delta = db
         .plan_dml(
             &sql::parse_statement("INSERT INTO t VALUES (3, 30)").unwrap(),
             &overlay,
+            TS_LATEST,
         )
         .unwrap();
     overlay.apply_delta(delta);
-    let rs = db.query_prepared_with_overlay(&p, Some(&overlay)).unwrap();
+    let read = ReadCtx {
+        overlay: Some(&overlay),
+        ..ReadCtx::LATEST
+    };
+    let rs = run(&db, &p, read).unwrap();
     assert_eq!(rs.len(), 3, "read-your-writes through the prepared plan");
     assert!(!p.resolve(&db).unwrap().recompiled);
     assert_eq!(
-        db.query_prepared(&p).unwrap().len(),
+        run(&db, &p, ReadCtx::LATEST).unwrap().len(),
         2,
         "overlay never leaks"
     );

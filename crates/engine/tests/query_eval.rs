@@ -1,6 +1,6 @@
 //! End-to-end query evaluation tests for the engine: SQL text in, rows out.
 
-use tintin_engine::{Database, StatementResult, Truth, Value};
+use tintin_engine::{Database, ReadCtx, StatementResult, Truth, Value, TS_LATEST};
 
 fn db_orders() -> Database {
     let mut db = Database::new();
@@ -378,15 +378,15 @@ fn event_capture_redirects_dml() {
     // Events recorded.
     assert_eq!(db.table("ins_orders").unwrap().len(), 1);
     assert_eq!(db.table("del_lineitem").unwrap().len(), 2);
-    assert_eq!(db.pending_counts(), (1, 2));
+    assert_eq!(db.pending_counts(TS_LATEST), (1, 2));
 
     // Events are queryable like tables (TINTIN's views rely on this).
     assert_eq!(ints(&db, "SELECT o_orderkey FROM ins_orders"), vec![4]);
 
     // Apply as versions of the next commit timestamp and verify.
-    let (_, touched) = db.normalize_events_touched().unwrap();
+    let (_, touched) = db.normalize_events().unwrap();
     let applied = db
-        .apply_pending_versioned_for(&touched, db.next_commit_ts())
+        .apply_pending_versioned(&touched, db.next_commit_ts())
         .unwrap();
     assert_eq!(db.table("orders").unwrap().len(), 4);
     assert_eq!(db.table("lineitem").unwrap().len(), 1);
@@ -404,8 +404,8 @@ fn event_capture_redirects_dml() {
         vec![1, 2]
     );
 
-    db.truncate_events();
-    assert_eq!(db.pending_counts(), (0, 0));
+    db.truncate_events(&db.touched_event_tables());
+    assert_eq!(db.pending_counts(TS_LATEST), (0, 0));
 }
 
 #[test]
@@ -437,7 +437,7 @@ fn normalization_cancels_and_dedups() {
     db.execute_sql("DELETE FROM orders WHERE o_orderkey = 2")
         .unwrap();
 
-    let (report, touched) = db.normalize_events_touched().unwrap();
+    let (report, touched) = db.normalize_events().unwrap();
     assert_eq!(report.dup_ins, 1, "duplicate insert of order 7");
     assert_eq!(report.cancelled, 1, "delete+reinsert of order 1 cancels");
     // After normalization: ins = {7}, del = {2}.
@@ -445,8 +445,8 @@ fn normalization_cancels_and_dedups() {
     assert_eq!(ints(&db, "SELECT o_orderkey FROM del_orders"), vec![2]);
 
     let ts = db.next_commit_ts();
-    db.apply_pending_versioned_for(&touched, ts).unwrap();
-    db.truncate_events_for(&touched);
+    db.apply_pending_versioned(&touched, ts).unwrap();
+    db.truncate_events(&touched);
     db.publish_commit(ts);
     assert_eq!(ints(&db, "SELECT o_orderkey FROM orders"), vec![1, 3, 7]);
 }
@@ -460,9 +460,9 @@ fn apply_rolls_back_on_pk_conflict() {
         .unwrap();
     db.execute_sql("INSERT INTO orders VALUES (5, 50, 5.0)")
         .unwrap();
-    let (_, touched) = db.normalize_events_touched().unwrap();
+    let (_, touched) = db.normalize_events().unwrap();
     let err = db
-        .apply_pending_versioned_for(&touched, db.next_commit_ts())
+        .apply_pending_versioned(&touched, db.next_commit_ts())
         .unwrap_err();
     assert!(matches!(
         err,
@@ -532,7 +532,7 @@ fn row_predicate_helper_matches_sql() {
     let compiled = compile_row_predicate(&db, "orders", "orders", &pred).unwrap();
     let t = db.table("orders").unwrap();
     let mut hits = 0;
-    let mut ctx = tintin_engine::ExecCtx::new(&db);
+    let mut ctx = tintin_engine::ExecCtx::new(&db, ReadCtx::LATEST);
     for (_, row) in t.scan() {
         if eval_row_predicate(&compiled, row, &mut ctx).unwrap() == Truth::True {
             hits += 1;

@@ -1,7 +1,7 @@
 //! `UPDATE` statement tests: direct application, capture decomposition into
 //! del+ins events, rollback on conflicts.
 
-use tintin_engine::{Database, EngineError, Value};
+use tintin_engine::{Database, EngineError, Value, TS_LATEST};
 
 fn db() -> Database {
     let mut db = Database::new();
@@ -126,10 +126,10 @@ fn captured_update_records_del_and_ins_events() {
     );
 
     // Applying the events realizes the update.
-    let (_, touched) = db.normalize_events_touched().unwrap();
+    let (_, touched) = db.normalize_events().unwrap();
     let ts = db.next_commit_ts();
-    db.apply_pending_versioned_for(&touched, ts).unwrap();
-    db.truncate_events_for(&touched);
+    db.apply_pending_versioned(&touched, ts).unwrap();
+    db.truncate_events(&touched);
     db.publish_commit(ts);
     assert_eq!(
         vals(&db, "SELECT val FROM t WHERE grp = 10"),
@@ -143,7 +143,11 @@ fn captured_noop_update_records_nothing() {
     db.enable_capture("t").unwrap();
     db.execute_sql("UPDATE t SET grp = 10 WHERE grp = 10")
         .unwrap();
-    assert_eq!(db.pending_counts(), (0, 0), "identity update is a no-op");
+    assert_eq!(
+        db.pending_counts(TS_LATEST),
+        (0, 0),
+        "identity update is a no-op"
+    );
 }
 
 #[test]

@@ -35,4 +35,4 @@ pub use ir::{
     DerivedDef, DerivedId, EventKind, Konst, Literal, Pred, Registry, Rule, Term, Var,
 };
 pub use optimize::{optimize_bodies, simplify_body, OptimizeOutcome, OptimizerConfig, PrunedBody};
-pub use translate::{translate_assertion, TranslateError, MAX_BODIES};
+pub use translate::{translate_assertion, Feature, TranslateError, TranslateErrorKind, MAX_BODIES};

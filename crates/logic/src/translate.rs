@@ -31,7 +31,40 @@ pub const MAX_BODIES: usize = 128;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranslateError {
     pub assertion: String,
+    pub kind: TranslateErrorKind,
     pub message: String,
+}
+
+/// Why an assertion did not translate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TranslateErrorKind {
+    /// Well-formed SQL outside the paper's assertion fragment.
+    Unsupported(Feature),
+    /// The assertion itself is wrong: unknown or ambiguous names, a
+    /// condition that is not a conjunction of `NOT EXISTS`, an unsafe
+    /// variable, an expansion past [`MAX_BODIES`].
+    Invalid,
+}
+
+/// A SQL feature the assertion fragment does not cover.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Feature {
+    /// Aggregate functions (the paper's future work).
+    Aggregate,
+    /// `GROUP BY` / `HAVING`.
+    GroupBy,
+    /// Arithmetic in a condition or a compared value.
+    Arithmetic,
+    /// A derived table in `FROM`.
+    DerivedTable,
+    /// A wildcard projection in an `IN` subquery.
+    Wildcard,
+    /// A `NULL` literal in a comparison.
+    NullLiteral,
+    /// Any other value than a column or a constant (functions, tuples).
+    ScalarExpression,
+    /// Any other condition than a comparison, `EXISTS`, `IN` or `IS NULL`.
+    Condition,
 }
 
 impl fmt::Display for TranslateError {
@@ -167,7 +200,15 @@ impl<'a> Translator<'a> {
     fn err(&self, msg: impl Into<String>) -> TranslateError {
         TranslateError {
             assertion: self.assertion.clone(),
+            kind: TranslateErrorKind::Invalid,
             message: msg.into(),
+        }
+    }
+
+    fn unsupported(&self, feature: Feature, msg: impl Into<String>) -> TranslateError {
+        TranslateError {
+            kind: TranslateErrorKind::Unsupported(feature),
+            ..self.err(msg)
         }
     }
 
@@ -242,8 +283,10 @@ impl<'a> Translator<'a> {
             return Err(self.err("assertion subqueries must have a FROM clause"));
         }
         if !sel.group_by.is_empty() || sel.having.is_some() {
-            return Err(self.err(
-                "GROUP BY / HAVING are not supported in assertions                  (aggregates are the paper's future work)",
+            return Err(self.unsupported(
+                Feature::GroupBy,
+                "GROUP BY / HAVING are not supported in assertions \
+                 (aggregates are the paper's future work)",
             ));
         }
         if let Some(w) = &sel.selection {
@@ -317,9 +360,10 @@ impl<'a> Translator<'a> {
             match item {
                 sql::SelectItem::Expr { expr, .. } => out.push(expr),
                 _ => {
-                    return Err(
-                        self.err("IN subqueries must project explicit columns (no wildcards)")
-                    )
+                    return Err(self.unsupported(
+                        Feature::Wildcard,
+                        "IN subqueries must project explicit columns (no wildcards)",
+                    ))
                 }
             }
         }
@@ -347,7 +391,8 @@ impl<'a> Translator<'a> {
                 }
                 Ok(())
             }
-            sql::TableRef::Subquery { .. } => Err(self.err(
+            sql::TableRef::Subquery { .. } => Err(self.unsupported(
+                Feature::DerivedTable,
                 "derived tables are not part of the assertion fragment \
                  (use EXISTS/IN subqueries instead)",
             )),
@@ -410,12 +455,12 @@ impl<'a> Translator<'a> {
                     p.literals.push(Literal::Cmp(cmp, lt, rt));
                     Ok(vec![p])
                 }
-                sql::BinOp::Add | sql::BinOp::Sub | sql::BinOp::Mul | sql::BinOp::Div => {
-                    Err(self.err(
+                sql::BinOp::Add | sql::BinOp::Sub | sql::BinOp::Mul | sql::BinOp::Div => Err(self
+                    .unsupported(
+                        Feature::Arithmetic,
                         "arithmetic is not supported in assertions (paper fragment: \
                          selection, projection, join, exists/in, negation, union)",
-                    ))
-                }
+                    )),
             },
             sql::Expr::Unary {
                 op: sql::UnOp::Not,
@@ -424,9 +469,12 @@ impl<'a> Translator<'a> {
                 let negated = self.negate_expr(expr)?;
                 self.process_expr(p, &negated, env)
             }
-            sql::Expr::Unary { op: sql::UnOp::Neg, .. } => {
-                Err(self.err("arithmetic negation is not supported in assertions"))
-            }
+            sql::Expr::Unary {
+                op: sql::UnOp::Neg, ..
+            } => Err(self.unsupported(
+                Feature::Arithmetic,
+                "arithmetic negation is not supported in assertions",
+            )),
             sql::Expr::Exists { query, negated } => {
                 if *negated {
                     self.add_negated_subquery(p, query, env, None)
@@ -502,12 +550,16 @@ impl<'a> Translator<'a> {
             }
             sql::Expr::Literal(sql::Lit::Bool(true)) => Ok(vec![p]),
             sql::Expr::Literal(sql::Lit::Bool(false)) => Ok(vec![]),
-            sql::Expr::Func { .. } => Err(self.err(
-                "aggregate functions are not supported in assertions                  (the paper lists this as future work); the engine still                  evaluates them in plain queries",
+            sql::Expr::Func { .. } => Err(self.unsupported(
+                Feature::Aggregate,
+                "aggregate functions are not supported in assertions \
+                 (the paper lists this as future work); the engine still \
+                 evaluates them in plain queries",
             )),
-            other => Err(self.err(format!(
-                "unsupported condition in assertion: {other}"
-            ))),
+            other => Err(self.unsupported(
+                Feature::Condition,
+                format!("unsupported condition in assertion: {other}"),
+            )),
         }
     }
 
@@ -592,16 +644,32 @@ impl<'a> Translator<'a> {
                 sql::Lit::Int(v) => Ok(Term::Const(Konst::Int(*v))),
                 sql::Lit::Real(v) => Ok(Term::Const(Konst::Real(*v))),
                 sql::Lit::Str(s) => Ok(Term::Const(Konst::Str(s.clone()))),
-                sql::Lit::Null => Err(self.err(
+                sql::Lit::Null => Err(self.unsupported(
+                    Feature::NullLiteral,
                     "NULL literals in assertion comparisons are not supported \
                      (use IS NULL / IS NOT NULL)",
                 )),
                 sql::Lit::Bool(_) => Err(self.err("boolean literal used as a value")),
             },
-            other => Err(self.err(format!(
-                "unsupported scalar expression in assertion: {other} \
-                 (the fragment allows columns and constants)"
-            ))),
+            other => {
+                let feature = match other {
+                    sql::Expr::Binary {
+                        op: sql::BinOp::Add | sql::BinOp::Sub | sql::BinOp::Mul | sql::BinOp::Div,
+                        ..
+                    }
+                    | sql::Expr::Unary {
+                        op: sql::UnOp::Neg, ..
+                    } => Feature::Arithmetic,
+                    _ => Feature::ScalarExpression,
+                };
+                Err(self.unsupported(
+                    feature,
+                    format!(
+                        "unsupported scalar expression in assertion: {other} \
+                         (the fragment allows columns and constants)"
+                    ),
+                ))
+            }
         }
     }
 
@@ -659,7 +727,10 @@ impl<'a> Translator<'a> {
                         right: right.clone(),
                     },
                     None => {
-                        return Err(self.err("cannot negate arithmetic expression in assertion"))
+                        return Err(self.unsupported(
+                            Feature::Arithmetic,
+                            "cannot negate arithmetic expression in assertion",
+                        ))
                     }
                 },
             },
@@ -955,10 +1026,66 @@ mod tests {
             panic!()
         };
         let err = translate_assertion(&cat, &mut reg, &a).unwrap_err();
-        assert!(
-            err.message.contains("arithmetic") || err.message.contains("unsupported scalar"),
+        assert_eq!(
+            err.kind,
+            TranslateErrorKind::Unsupported(Feature::Arithmetic),
             "{err}"
         );
+    }
+
+    #[test]
+    fn aggregates_and_group_by_are_typed_unsupported_features() {
+        let cat = tpch_cat();
+        for (text, feature) in [
+            (
+                "SELECT * FROM orders WHERE SUM(o_totalprice)",
+                Feature::Aggregate,
+            ),
+            (
+                "SELECT o_custkey FROM orders GROUP BY o_custkey",
+                Feature::GroupBy,
+            ),
+        ] {
+            let sql::Statement::CreateAssertion(a) = tintin_sql::parse_statement(&format!(
+                "CREATE ASSERTION a CHECK (NOT EXISTS ({text}))"
+            ))
+            .unwrap() else {
+                panic!()
+            };
+            let err = translate_assertion(&cat, &mut Registry::new(), &a).unwrap_err();
+            assert_eq!(err.kind, TranslateErrorKind::Unsupported(feature), "{err}");
+        }
+    }
+
+    /// Messages reach users verbatim (wire errors, linter output): a lost
+    /// line continuation shows up as a run of spaces.
+    #[test]
+    fn error_messages_have_no_runs_of_spaces() {
+        let cat = tpch_cat();
+        for cond in [
+            "SELECT * FROM orders WHERE SUM(o_totalprice)",
+            "SELECT o_custkey FROM orders GROUP BY o_custkey",
+            "SELECT o_custkey FROM orders HAVING o_custkey > 1",
+            "SELECT * FROM orders WHERE o_totalprice + 1 > 2",
+            "SELECT * FROM orders WHERE -o_totalprice > 2",
+            "SELECT * FROM orders WHERE NOT (o_totalprice + 1)",
+            "SELECT * FROM orders WHERE o_totalprice = NULL",
+            "SELECT * FROM (SELECT * FROM orders) d",
+            "SELECT * FROM orders WHERE o_custkey IN (SELECT * FROM lineitem)",
+            "SELECT * FROM orders WHERE o_custkey",
+            "SELECT * FROM nope",
+            "SELECT * FROM orders WHERE bogus = 1",
+            "SELECT * FROM orders o, lineitem l WHERE o_orderkey = 1 AND o.bogus = 2",
+        ] {
+            let sql::Statement::CreateAssertion(a) = tintin_sql::parse_statement(&format!(
+                "CREATE ASSERTION a CHECK (NOT EXISTS ({cond}))"
+            ))
+            .unwrap() else {
+                panic!("{cond}")
+            };
+            let err = translate_assertion(&cat, &mut Registry::new(), &a).unwrap_err();
+            assert!(!err.message.contains("  "), "{cond}: {:?}", err.message);
+        }
     }
 
     #[test]

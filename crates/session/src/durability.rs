@@ -312,10 +312,10 @@ fn replay_commit(db: &mut Database, ts: u64, effects: &[TableEffects]) -> Result
         return Ok(());
     }
     (|| -> Result<()> {
-        db.stage_overlay_at(overlay, ts)?;
-        let (_, touched) = db.normalize_events_touched()?;
-        db.apply_pending_versioned_for(&touched, ts)?;
-        db.truncate_events_for(&touched);
+        db.stage_overlay(overlay, ts)?;
+        let (_, touched) = db.normalize_events()?;
+        db.apply_pending_versioned(&touched, ts)?;
+        db.truncate_events(&touched);
         db.publish_commit(ts);
         Ok(())
     })()

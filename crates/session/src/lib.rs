@@ -102,9 +102,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
-use tintin::{CheckStats, Installation, Tintin, TintinError, TouchedEvents, Violation};
+use tintin::{CheckStats, Installation, Tintin, TintinError, Violation};
 use tintin_engine::{
-    Database, EngineError, ResultSet, SharedDatabase, Snapshot, TxOverlay, TS_LATEST,
+    Database, EngineError, ReadCtx, ResultSet, SharedDatabase, Snapshot, Touched, TxOverlay,
 };
 use tintin_obs::{
     log_warn, Counter, Gauge, Histogram, Registry, Snapshot as MetricsSnapshot, Stopwatch,
@@ -865,7 +865,7 @@ impl Session {
             Some(tx) => tx.overlay.counts(),
             None => {
                 let db = self.server.db.read();
-                db.pending_counts_at(db.current_ts())
+                db.pending_counts(db.current_ts())
             }
         }
     }
@@ -1023,27 +1023,30 @@ impl Session {
     pub fn query_rows(&self, query: &str) -> Result<ResultSet> {
         let q = sql::parse_query(query).map_err(SessionError::from)?;
         let db = self.server.db.read();
-        Ok(db.query_with_overlay_at(
-            &q,
-            self.tx.as_ref().map(|t| &t.overlay),
-            self.read_snapshot(&db),
-        )?)
+        Ok(db.query(&q, self.read_ctx(&db))?)
     }
 
-    /// The snapshot timestamp this session's reads are pinned to: the
-    /// transaction's `BEGIN`-time snapshot inside one, the latest
-    /// *published* commit timestamp outside.
+    /// What this session's reads observe: the transaction's `BEGIN`-time
+    /// snapshot plus its overlay inside one, the latest *published* commit
+    /// timestamp outside.
     ///
     /// Pinning autocommit reads to the published clock (instead of
-    /// [`TS_LATEST`], which sees every live version) is what hides an
-    /// in-flight commit's staged event rows: they are stamped with the
-    /// committer's still-unpublished timestamp, above any value this can
-    /// return. The caller must hold `db`'s read guard across the query so
-    /// the clock cannot advance under it.
-    fn read_snapshot(&self, db: &Database) -> u64 {
-        self.tx
-            .as_ref()
-            .map_or_else(|| db.current_ts(), |t| t.snapshot.ts())
+    /// [`TS_LATEST`](tintin_engine::TS_LATEST), which sees every live
+    /// version) is what hides an in-flight commit's staged event rows: they
+    /// are stamped with the committer's still-unpublished timestamp, above
+    /// any value this can return. The caller must hold `db`'s read guard
+    /// across the query so the clock cannot advance under it.
+    fn read_ctx(&self, db: &Database) -> ReadCtx<'_> {
+        match &self.tx {
+            Some(t) => ReadCtx {
+                snapshot: t.snapshot.ts(),
+                overlay: Some(&t.overlay),
+            },
+            None => ReadCtx {
+                snapshot: db.current_ts(),
+                overlay: None,
+            },
+        }
     }
 
     /// Execute a single parsed statement.
@@ -1101,9 +1104,7 @@ impl Session {
             }
             sql::Statement::Query(q) => {
                 let db = self.server.db.read();
-                let snapshot = self.read_snapshot(&db);
-                let rs =
-                    db.query_with_overlay_at(q, self.tx.as_ref().map(|t| &t.overlay), snapshot)?;
+                let rs = db.query(q, self.read_ctx(&db))?;
                 Ok(StatementOutcome::Rows(rs))
             }
             dml => {
@@ -1116,7 +1117,7 @@ impl Session {
                         self.server
                             .db
                             .read()
-                            .plan_dml_at(dml, &tx.overlay, tx.snapshot.ts())?;
+                            .plan_dml(dml, &tx.overlay, tx.snapshot.ts())?;
                     let n = delta.rows_affected;
                     tx.overlay.apply_delta(delta);
                     Ok(StatementOutcome::RowsAffected(n))
@@ -1215,7 +1216,7 @@ impl Session {
             // stall the fast path exists to avoid. Hand-staged carrier
             // events (`begin = 0`) are still seen and still force a real
             // commit.
-            db.pending_counts_at(db.current_ts()) == (0, 0)
+            db.pending_counts(db.current_ts()) == (0, 0)
         }
     }
 
@@ -1261,19 +1262,20 @@ impl Session {
         // timestamp: invisible to every other session's reads (which pin to
         // a registered snapshot or the published clock) until — and only if
         // — phase 3 publishes.
-        let (ts, normalization, touched_list) = {
+        let (ts, normalization, touched) = {
             let mut db = self.server.db.write();
             let ts = db.next_commit_ts();
             let staged = (|| {
                 db.detect_conflicts(&overlay, snapshot)?;
-                db.stage_overlay_at(overlay, ts)?;
-                db.normalize_events_touched()
+                db.stage_overlay(overlay, ts)?;
+                db.normalize_events()
             })();
             match staged {
-                Ok((normalization, touched_list)) => (ts, normalization, touched_list),
+                Ok((normalization, touched)) => (ts, normalization, touched),
                 Err(e) => {
                     // Partial staging is discarded; base tables untouched.
-                    db.truncate_events();
+                    let staged = db.touched_event_tables();
+                    db.truncate_events(&staged);
                     if matches!(e, EngineError::SerializationConflict { .. }) {
                         m.conflicts.inc();
                     } else {
@@ -1289,7 +1291,7 @@ impl Session {
         // bleeds into the check-phase span; the hook is a test-only seam.)
         if let Some(h) = &hook {
             if h(self.id, CommitPhase::Staged) == HookAction::Abort {
-                return self.abort_in_flight(&touched_list, m).map(|o| (o, None));
+                return self.abort_in_flight(&touched, m).map(|o| (o, None));
             }
         }
         let mut stats = CheckStats {
@@ -1304,7 +1306,6 @@ impl Session {
         // event-table/vio-view reads can observe this commit mid-flight.
         // (The check itself reads the event tables at TS_LATEST, which sees
         // every live version regardless of its begin stamp.)
-        let touched = TouchedEvents::from_list(&touched_list);
         let checked = {
             let db = self.server.db.read();
             let mut all = Vec::new();
@@ -1334,7 +1335,7 @@ impl Session {
         // held.
         if let Some(h) = &hook {
             if h(self.id, CommitPhase::Checked) == HookAction::Abort {
-                return self.abort_in_flight(&touched_list, m).map(|o| (o, None));
+                return self.abort_in_flight(&touched, m).map(|o| (o, None));
             }
         }
 
@@ -1343,12 +1344,12 @@ impl Session {
         let mut db = self.server.db.write();
         let (violations, failure) = checked;
         if let Some(e) = failure {
-            db.truncate_events_for(&touched_list);
+            db.truncate_events(&touched);
             m.errors.inc();
             return Err(e.into());
         }
         if violations.is_empty() {
-            let (inserted, deleted) = db.pending_counts_for(&touched_list);
+            let (inserted, deleted) = touched.counts();
             // The commit lock has been held since phase 1, so the timestamp
             // reserved there is still the next one to publish.
             debug_assert_eq!(ts, db.next_commit_ts());
@@ -1361,13 +1362,13 @@ impl Session {
                 .dura
                 .as_ref()
                 .filter(|dura| dura.fault() != DurabilityFault::AckBeforeLog)
-                .map(|dura| (dura, db.staged_effects_for(&touched_list)));
-            let applied = match db.apply_pending_versioned_for(&touched_list, ts) {
+                .map(|dura| (dura, db.staged_effects(&touched)));
+            let applied = match db.apply_pending_versioned(&touched, ts) {
                 Ok(applied) => applied,
                 Err(e) => {
                     // Compensated by version un-stamping; ts was never
                     // published, so no session saw anything.
-                    db.truncate_events_for(&touched_list);
+                    db.truncate_events(&touched);
                     m.errors.inc();
                     return Err(e.into());
                 }
@@ -1385,18 +1386,18 @@ impl Session {
                         // apply (ts is unpublished, so nothing was
                         // observable) and fail the commit.
                         db.unapply_pending_versioned(applied);
-                        db.truncate_events_for(&touched_list);
+                        db.truncate_events(&touched);
                         m.errors.inc();
                         return Err(e);
                     }
                 }
             }
-            db.truncate_events_for(&touched_list);
+            db.truncate_events(&touched);
             db.publish_commit(ts);
             // Commit-piggybacked GC: prune versions no live snapshot can
             // see, on the touched tables, once enough history accumulated.
             let horizon = self.server.db.gc_horizon(ts);
-            db.maybe_gc_for(&touched_list, horizon);
+            db.maybe_gc(&touched, horizon);
             drop(db);
             let publish_time = span.lap();
             m.publish_seconds.record(publish_time);
@@ -1417,7 +1418,7 @@ impl Session {
                 wal_lsn,
             ))
         } else {
-            db.truncate_events_for(&touched_list);
+            db.truncate_events(&touched);
             drop(db);
             let publish_time = span.lap();
             m.rejects.inc();
@@ -1455,13 +1456,9 @@ impl Session {
     /// events (the base tables were never touched — phase 3 had not run)
     /// and surface a transaction error, exactly the trace-free rollback a
     /// crashed committer must leave behind.
-    fn abort_in_flight(
-        &self,
-        touched: &[tintin_engine::TouchedTable],
-        m: &SessionMetrics,
-    ) -> Result<StatementOutcome> {
+    fn abort_in_flight(&self, touched: &Touched, m: &SessionMetrics) -> Result<StatementOutcome> {
         let mut db = self.server.db.write();
-        db.truncate_events_for(touched);
+        db.truncate_events(touched);
         drop(db);
         m.errors.inc();
         Err(SessionError::Engine(EngineError::Transaction(
@@ -1556,7 +1553,7 @@ impl Session {
         let saved = db.snapshot_events();
         let result = (|| {
             if let Some(tx) = &self.tx {
-                db.stage_overlay(tx.overlay.clone())?;
+                db.stage_overlay(tx.overlay.clone(), 0)?;
             }
             check_staged(&mut db, &state)
         })();
@@ -1577,10 +1574,12 @@ impl Session {
         let res = (|| {
             let (overlay, snapshot) = {
                 // Planning only reads; concurrent readers are unaffected.
+                // It reads the snapshot conflict detection checks against
+                // (under the commit lock, the latest published state).
                 let db = self.server.db.read();
                 let snapshot = db.current_ts();
                 let mut overlay = TxOverlay::new();
-                let delta = db.plan_dml_at(dml, &overlay, TS_LATEST)?;
+                let delta = db.plan_dml(dml, &overlay, snapshot)?;
                 overlay.apply_delta(delta);
                 (overlay, snapshot)
             };
@@ -1603,36 +1602,22 @@ impl Session {
 /// — only checks whose gate tables have pending events are evaluated, each
 /// through its install-time prepared plan.
 fn check_staged(db: &mut Database, state: &ServerState) -> Result<(Vec<Violation>, CheckStats)> {
-    let (violations, stats, _) = check_staged_touched(db, state)?;
-    Ok((violations, stats))
-}
-
-/// [`check_staged`] plus the post-normalization touched-table list, so the
-/// commit can apply and truncate without re-scanning the captured set.
-type TouchedList = Vec<tintin_engine::TouchedTable>;
-fn check_staged_touched(
-    db: &mut Database,
-    state: &ServerState,
-) -> Result<(Vec<Violation>, CheckStats, TouchedList)> {
     let mut all = Vec::new();
-    // Normalize unconditionally: even with zero installations the
-    // subsequent apply must see normalized events, or a set-semantics
-    // no-op (e.g. re-inserting an existing row) would explode into a key
-    // conflict. This is the only scan of the captured set in the whole
-    // commit; everything downstream reuses the touched list.
-    let (normalization, touched_list) = db.normalize_events_touched()?;
+    // Normalize unconditionally, as a commit does: the check must see the
+    // events a commit would apply. This is the only scan of the captured
+    // set; every installation reuses the touched set.
+    let (normalization, touched) = db.normalize_events()?;
     let mut stats = CheckStats {
         normalization,
         ..CheckStats::default()
     };
-    let touched = tintin::TouchedEvents::from_list(&touched_list);
     for inst in &state.installations {
         let violations = state
             .tintin
             .check_normalized(db, inst, &touched, &mut stats)?;
         all.extend(violations);
     }
-    Ok((all, stats, touched_list))
+    Ok((all, stats))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use tintin::Tintin;
-use tintin_engine::{Database, EngineError, TxOverlay, Value, TS_LATEST};
+use tintin_engine::{Database, EngineError, ReadCtx, TxOverlay, Value, TS_LATEST};
 use tintin_session::{CommitPhase, HookAction, Server, Session, SessionError, StatementOutcome};
 use tintin_sql as sql;
 
@@ -74,7 +74,7 @@ fn dump_db(db: &Database, tables: &[String]) -> Result<String, String> {
         let q = sql::parse_query(&format!("SELECT * FROM {t} ORDER BY k"))
             .map_err(|e| format!("dump parse of {t} failed: {e}"))?;
         let rs = db
-            .query(&q)
+            .query(&q, ReadCtx::LATEST)
             .map_err(|e| format!("mirror dump of {t} failed: {e}"))?;
         push_rows(&mut out, t, &rs.rows);
     }
@@ -226,7 +226,7 @@ impl<'a> Sim<'a> {
                     }
                 } else {
                     self.mirror_db
-                        .stage_overlay(overlay.clone())
+                        .stage_overlay(overlay.clone(), 0)
                         .map_err(|e| self.fail(step, format!("mirror staging failed: {e}")))?;
                     let out = self
                         .mirror_tintin
@@ -267,7 +267,7 @@ impl<'a> Sim<'a> {
                 // the full recheck must agree with the rejection.
                 if !overlay.is_empty() {
                     self.mirror_db
-                        .stage_overlay(overlay.clone())
+                        .stage_overlay(overlay.clone(), 0)
                         .map_err(|e| self.fail(step, format!("mirror staging failed: {e}")))?;
                     let out = self
                         .mirror_tintin
@@ -369,7 +369,7 @@ impl<'a> Sim<'a> {
             .install(&mut db, &texts)
             .map_err(|e| self.fail(step, format!("replay install failed: {e}")))?;
         for (i, ov) in self.accepted.iter().enumerate() {
-            db.stage_overlay(ov.clone())
+            db.stage_overlay(ov.clone(), 0)
                 .map_err(|e| self.fail(step, format!("replay staging failed: {e}")))?;
             let out = tintin
                 .full_recheck(&mut db, &inst)
@@ -474,9 +474,7 @@ impl<'a> Sim<'a> {
         // The mirror's plan verdict discriminates a *plan* error (which
         // never reaches the commit path and counts no attempt) from a
         // commit-path outcome (which always counts one).
-        let mirror_plan = self
-            .mirror_db
-            .plan_dml_at(&stmt, &TxOverlay::new(), TS_LATEST);
+        let mirror_plan = self.mirror_db.plan_dml(&stmt, &TxOverlay::new(), TS_LATEST);
         let before = self.dump_shared(step)?;
         let res = self.workers[sess_idx].execute_statement(&stmt);
         match mirror_plan {
@@ -790,7 +788,9 @@ fn make_hook(
         let mut sh = lock(&state);
         match (sh.mutant, phase) {
             (Mutant::SkipStagedEvents, CommitPhase::Staged) => {
-                db.write().truncate_events();
+                let mut db = db.write();
+                let staged = db.touched_event_tables();
+                db.truncate_events(&staged);
             }
             (Mutant::GhostWrite, CommitPhase::Published) => {
                 sh.seq += 1;

@@ -88,7 +88,7 @@ mod tests {
                     negated: true,
                 } = conj
                 {
-                    let rs = db.query(query).unwrap();
+                    let rs = db.query(query, tintin_engine::ReadCtx::LATEST).unwrap();
                     assert!(rs.is_empty(), "{name} violated by generated data");
                 }
             }

@@ -222,6 +222,7 @@ mod tests {
     use super::*;
     use crate::dbgen::Dbgen;
     use crate::schema::TPCH_TABLES;
+    use tintin_engine::TS_LATEST;
 
     fn captured_db(sf: f64) -> (Database, TpchCounts) {
         let gen = Dbgen::new(sf);
@@ -235,10 +236,10 @@ mod tests {
     /// Commit the captured batch unchecked, through the versioned apply
     /// every commit path uses.
     fn commit_pending(db: &mut Database) {
-        let (_, touched) = db.normalize_events_touched().unwrap();
+        let (_, touched) = db.normalize_events().unwrap();
         let ts = db.next_commit_ts();
-        db.apply_pending_versioned_for(&touched, ts).unwrap();
-        db.truncate_events_for(&touched);
+        db.apply_pending_versioned(&touched, ts).unwrap();
+        db.truncate_events(&touched);
         db.publish_commit(ts);
     }
 
@@ -249,7 +250,7 @@ mod tests {
         let stats = ug.valid_batch(&mut db, 10_000);
         assert!(stats.bytes >= 10_000);
         assert!(stats.orders_inserted > 0);
-        let (ins, del) = db.pending_counts();
+        let (ins, del) = db.pending_counts(TS_LATEST);
         assert!(ins + del > 0);
     }
 

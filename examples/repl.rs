@@ -405,7 +405,10 @@ fn main() {
             // `EXPLAIN ASSERTION name` is a real statement (the linter
             // report); bare `explain <query>` shows the access-path plan.
             if !rest.trim_start().to_lowercase().starts_with("assertion ") {
-                match session.database().read().explain_sql(rest) {
+                let plan = tintin_sql::parse_query(rest)
+                    .map_err(tintin_engine::EngineError::from)
+                    .and_then(|q| session.database().read().explain(&q));
+                match plan {
                     Ok(plan) => print!("{plan}"),
                     Err(e) => println!("error: {e}"),
                 }

@@ -181,7 +181,13 @@ fn racing_commits_violator_rolls_back_valid_survives() {
             0,
             "round {round}: inconsistent state committed"
         );
-        assert_eq!(server.database().read().pending_counts(), (0, 0));
+        assert_eq!(
+            server
+                .database()
+                .read()
+                .pending_counts(tintin_engine::TS_LATEST),
+            (0, 0)
+        );
     }
 }
 
@@ -274,7 +280,13 @@ fn conflicting_commits_exactly_one_wins() {
 
     let check = server.connect();
     assert_eq!(count(&check, "SELECT * FROM t"), 1);
-    assert_eq!(server.database().read().pending_counts(), (0, 0));
+    assert_eq!(
+        server
+            .database()
+            .read()
+            .pending_counts(tintin_engine::TS_LATEST),
+        (0, 0)
+    );
 }
 
 /// Two transactions update the same row; the first commit wins and the
@@ -323,7 +335,13 @@ fn stale_delete_surfaces_as_conflict_not_lost_update() {
     let rs = check.query_rows("SELECT b FROM t").unwrap();
     assert_eq!(rs.len(), 1, "lost update: both versions survived");
     assert_eq!(rs.rows[0][0], Value::Int(11));
-    assert_eq!(server.database().read().pending_counts(), (0, 0));
+    assert_eq!(
+        server
+            .database()
+            .read()
+            .pending_counts(tintin_engine::TS_LATEST),
+        (0, 0)
+    );
 
     // An immediate retry on a fresh snapshot observes the winner's row and
     // succeeds.

@@ -4,7 +4,7 @@
 //! after each one.
 
 use tintin::{CommitOutcome, Tintin};
-use tintin_engine::Database;
+use tintin_engine::{Database, TS_LATEST};
 use tintin_tpch::{assertion_sql, Dbgen, TpchCounts, UpdateGen, TPCH_TABLES};
 
 fn demo_db() -> (Database, TpchCounts) {
@@ -35,7 +35,11 @@ fn demo_script_end_to_end() {
     ug.valid_batch(&mut db, 2_000);
     let outcome = tintin.safe_commit(&mut db, &inst).unwrap();
     assert!(outcome.is_committed(), "{outcome:?}");
-    assert_eq!(db.pending_counts(), (0, 0), "events truncated after commit");
+    assert_eq!(
+        db.pending_counts(TS_LATEST),
+        (0, 0),
+        "events truncated after commit"
+    );
 
     // Step 3: a violating update is rejected and reported; the database is
     // unchanged by it.
@@ -49,7 +53,11 @@ fn demo_script_end_to_end() {
         .iter()
         .any(|v| v.assertion == "atleastonelineitem"));
     assert_eq!(db.table("orders").unwrap().len(), orders_mid);
-    assert_eq!(db.pending_counts(), (0, 0), "events truncated after reject");
+    assert_eq!(
+        db.pending_counts(TS_LATEST),
+        (0, 0),
+        "events truncated after reject"
+    );
 
     // Step 4: another valid update still commits (the system remains
     // usable after a rejection).
@@ -108,7 +116,7 @@ fn check_time_is_independent_of_database_size() {
         let (_, stats1) = tintin.check_pending(&mut db, &inst).unwrap();
         let (_, stats2) = tintin.check_pending(&mut db, &inst).unwrap();
         times.push(stats1.check_time.min(stats2.check_time));
-        db.truncate_events();
+        db.truncate_events(&db.touched_event_tables());
     }
     let small = times[0].as_secs_f64().max(1e-6);
     let big = times[1].as_secs_f64();

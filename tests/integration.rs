@@ -2,7 +2,7 @@
 //! lifecycle on handwritten scenarios.
 
 use tintin::{CommitOutcome, EdcConfig, Tintin, TintinConfig, TintinError};
-use tintin_engine::{Database, Value};
+use tintin_engine::{Database, Value, TS_LATEST};
 
 const AT_LEAST_ONE_LINEITEM: &str = "CREATE ASSERTION atLeastOneLineItem CHECK (NOT EXISTS (
     SELECT * FROM orders AS o
@@ -66,7 +66,7 @@ fn rejects_insert_of_order_without_lineitem() {
 
     // Update discarded, base unchanged, events truncated.
     assert_eq!(db.table("orders").unwrap().len(), 2);
-    assert_eq!(db.pending_counts(), (0, 0));
+    assert_eq!(db.pending_counts(TS_LATEST), (0, 0));
 }
 
 #[test]
@@ -166,7 +166,7 @@ fn emptiness_shortcut_skips_unrelated_views() {
     assert!(violations.is_empty());
     assert_eq!(stats.views_skipped, 0);
     assert_eq!(stats.views_evaluated, 2);
-    db.truncate_events();
+    db.truncate_events(&db.touched_event_tables());
 }
 
 #[test]
@@ -337,7 +337,7 @@ fn optimizer_ablation_preserves_verdicts() {
             db.execute_sql(update).unwrap();
             let (violations, _) = t.check_pending(&mut db, &inst).unwrap();
             verdicts.push(violations.is_empty());
-            db.truncate_events();
+            db.truncate_events(&db.touched_event_tables());
         }
         assert!(
             verdicts.windows(2).all(|w| w[0] == w[1]),
@@ -548,7 +548,7 @@ fn aggregate_assertion_checked_via_fallback() {
         stats.fallbacks_evaluated, 1,
         "lineitem deletes gate it open"
     );
-    db.truncate_events();
+    db.truncate_events(&db.touched_event_tables());
 
     // Customer-free schema here; an orders-only insert leaves lineitem
     // events empty → fallback skipped.
@@ -556,7 +556,7 @@ fn aggregate_assertion_checked_via_fallback() {
         .unwrap();
     let (_, stats) = tintin.check_pending(&mut db, &inst).unwrap();
     assert_eq!(stats.fallbacks_skipped, 1);
-    db.truncate_events();
+    db.truncate_events(&db.touched_event_tables());
 }
 
 #[test]

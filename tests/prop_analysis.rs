@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tintin::Tintin;
-use tintin_engine::{Database, Value};
+use tintin_engine::{Database, ReadCtx, Value};
 use tintin_logic::{analyze_body, translate_assertion, EdcConfig, EdcGenerator, Registry};
 use tintin_sql as sql;
 use tintin_sqlgen::{generate_views, GeneratedView};
@@ -166,7 +166,7 @@ fn unsat_bodies_generate_empty_views_under_random_states() {
     for seed in 0..200u64 {
         let db = random_state(seed);
         for view in &unsat {
-            let rs = db.query(&view.query).unwrap();
+            let rs = db.query(&view.query, ReadCtx::LATEST).unwrap();
             assert!(
                 rs.is_empty(),
                 "seed {seed}: view {} of pruned (unsatisfiable) body returned {} row(s) — \
@@ -186,7 +186,8 @@ fn sat_controls_can_fire() {
     let (_, sat) = expand();
     let fired = (0..200u64).any(|seed| {
         let db = random_state(seed);
-        sat.iter().any(|v| !db.query(&v.query).unwrap().is_empty())
+        sat.iter()
+            .any(|v| !db.query(&v.query, ReadCtx::LATEST).unwrap().is_empty())
     });
     assert!(
         fired,

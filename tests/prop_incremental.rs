@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use tintin::{EdcConfig, Tintin, TintinConfig};
-use tintin_engine::{Database, Value};
+use tintin_engine::{Database, ReadCtx, Value, TS_LATEST};
 use tintin_session::{Server, Session, SessionError};
 
 /// The fixed test schema: a parent/child pair (with FK) plus a third table.
@@ -224,9 +224,9 @@ fn sanitize_ops(ops: Vec<Op>, initial: &InitialState) -> Vec<Op> {
 /// run the original assertion queries on the updated live state.
 fn ground_truth(base: &Database) -> Vec<bool> {
     let mut db = base.clone();
-    let (_, touched) = db.normalize_events_touched().unwrap();
+    let (_, touched) = db.normalize_events().unwrap();
     let ts = db.next_commit_ts();
-    db.apply_pending_versioned_for(&touched, ts)
+    db.apply_pending_versioned(&touched, ts)
         .expect("sanitized batches apply cleanly");
     ASSERTIONS
         .iter()
@@ -243,7 +243,7 @@ fn ground_truth(base: &Database) -> Vec<bool> {
                     negated: true,
                 } = conj
                 {
-                    if !db.query(query).unwrap().is_empty() {
+                    if !db.query(query, ReadCtx::LATEST).unwrap().is_empty() {
                         violated = true;
                     }
                 }
@@ -403,7 +403,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(&before, &after, "rejected update mutated the db");
         }
-        prop_assert_eq!(db.pending_counts(), (0, 0), "events not truncated");
+        prop_assert_eq!(db.pending_counts(TS_LATEST), (0, 0), "events not truncated");
     }
 
     /// `BEGIN; <random DML>; ROLLBACK` is a no-op on the state the session

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use tintin::{Tintin, TintinConfig};
-use tintin_engine::Database;
+use tintin_engine::{Database, ReadCtx};
 
 fn make_db() -> Database {
     let mut db = Database::new();
@@ -246,9 +246,9 @@ fn dml(seed: &[(u8, i64, i64, i64)], db: &mut Database) {
 /// on the live state.
 fn ground_truth(base: &Database, assertion_sql: &str) -> Option<bool> {
     let mut db = base.clone();
-    let (_, touched) = db.normalize_events_touched().unwrap();
+    let (_, touched) = db.normalize_events().unwrap();
     let ts = db.next_commit_ts();
-    if db.apply_pending_versioned_for(&touched, ts).is_err() {
+    if db.apply_pending_versioned(&touched, ts).is_err() {
         return None; // PK conflict among events: skip case
     }
     let tintin_sql::Statement::CreateAssertion(a) =
@@ -263,7 +263,7 @@ fn ground_truth(base: &Database, assertion_sql: &str) -> Option<bool> {
             negated: true,
         } = conj
         {
-            if !db.query(query).unwrap().is_empty() {
+            if !db.query(query, ReadCtx::LATEST).unwrap().is_empty() {
                 violated = true;
             }
         }

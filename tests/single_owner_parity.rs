@@ -7,7 +7,7 @@
 //! collection keeps a long single-owner history bounded.
 
 use tintin::{CommitOutcome, Installation, Tintin};
-use tintin_engine::Database;
+use tintin_engine::{Database, TS_LATEST};
 use tintin_session::{Session, StatementOutcome};
 
 const SCHEMA: &str = "
@@ -110,7 +110,11 @@ fn safe_commit_matches_the_server_step_for_step() {
             .collect();
         assert_eq!(dump_owned(&db), served, "step {i}: {step}");
         assert_eq!(db.current_ts(), server_ts(&session), "step {i}: {step}");
-        assert_eq!(db.pending_counts(), (0, 0), "step {i}: events truncated");
+        assert_eq!(
+            db.pending_counts(TS_LATEST),
+            (0, 0),
+            "step {i}: events truncated"
+        );
     }
     // Rejects really happened and every commit ticked the clock — including
     // the one that normalized away: this is not two idle clocks agreeing.
@@ -146,7 +150,7 @@ fn rejected_full_recheck_leaves_versions_untouched() {
     );
     assert_eq!(db.mvcc_stats(), before, "commit_ts, live and dead versions");
     assert_eq!(dump_owned(&db), dump);
-    assert_eq!(db.pending_counts(), (0, 0));
+    assert_eq!(db.pending_counts(TS_LATEST), (0, 0));
 
     // An accepted recheck commits like safe_commit: one clock tick.
     db.execute_sql("INSERT INTO orders VALUES (5, 5.0); INSERT INTO lineitem VALUES (5, 1, 1);")
