@@ -14,6 +14,7 @@
 //! * **E3** (DESIGN.md ablation): contribution of the semantic
 //!   optimizations, the FK pruning and the emptiness shortcut.
 
+use std::time::Duration;
 use tintin::{EdcConfig, TintinConfig};
 use tintin_bench::{prepare, prepare_with_config, secs, time_full, time_incremental, Scenario};
 use tintin_tpch::human_bytes;
@@ -88,7 +89,7 @@ fn e2(gb: f64, mb: f64, iters: usize) {
         "{:>22} {:>6} {:>12} {:>12} {:>9}",
         "assertion", "views", "TINTIN", "full query", "speedup"
     );
-    let mut range: Option<(f64, f64)> = None;
+    let mut range: Option<(Duration, Duration)> = None;
     for (name, sql) in TPCH_ASSERTIONS {
         let mut s = prepare(gb, mb, &[sql], 42);
         let inc = time_incremental(&mut s, iters);
@@ -102,12 +103,12 @@ fn e2(gb: f64, mb: f64, iters: usize) {
             speedup
         );
         range = Some(match range {
-            None => (inc.as_secs_f64(), inc.as_secs_f64()),
-            Some((lo, hi)) => (lo.min(inc.as_secs_f64()), hi.max(inc.as_secs_f64())),
+            None => (inc, inc),
+            Some((lo, hi)) => (lo.min(inc), hi.max(inc)),
         });
     }
     if let Some((lo, hi)) = range {
-        println!("   TINTIN check-time range: {lo:.4}s – {hi:.4}s");
+        println!("   TINTIN check-time range: {} – {}", secs(lo), secs(hi));
     }
     println!();
 }

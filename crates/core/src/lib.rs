@@ -249,6 +249,9 @@ pub struct Installation {
     /// (parallel to `views`). Re-compilation after DDL is transparent and
     /// accounted in [`CheckStats::plans_recompiled`].
     plans: Vec<PreparedQuery>,
+    /// The views' residual gates, resolved for commit time (parallel to
+    /// `views`).
+    residual: Vec<Vec<EventGate>>,
     /// Aggregate assertions checked non-incrementally (with event gating).
     pub fallbacks: Vec<FallbackCheck>,
     /// Human-readable denial forms, for demos and docs.
@@ -335,6 +338,8 @@ impl Installation {
         self.views.retain(|_| *it.next().unwrap());
         let mut it = keep.iter();
         self.plans.retain(|_| *it.next().unwrap());
+        let mut it = keep.iter();
+        self.residual.retain(|_| *it.next().unwrap());
         self.relevance = RelevanceIndex::build(&self.views);
     }
 
@@ -820,6 +825,10 @@ impl Tintin {
                 .map(|q| db.prepare(q))
                 .collect::<std::result::Result<_, _>>()?;
         }
+        let residual = all_views
+            .iter()
+            .map(|v| v.residual.iter().map(EventGate::new).collect())
+            .collect();
         let relevance = RelevanceIndex::build(&all_views);
         let table_columns = cat
             .table_names()
@@ -830,6 +839,7 @@ impl Tintin {
             assertions: installed,
             views: all_views,
             plans,
+            residual,
             fallbacks,
             denial_texts,
             relevance,
@@ -946,8 +956,8 @@ impl Tintin {
                 // the full plan can be skipped. Sound because a predicate
                 // is only emitted when every witnessing row must satisfy it
                 // (and NULL fails both SQL `WHERE` and `sql_cmp`).
-                let residual = &installation.views[i].residual;
-                if !residual.is_empty() && !residual.iter().all(|g| residual_gate_open(db, g)) {
+                let residual = &installation.residual[i];
+                if !residual.iter().all(|g| g.is_open(db)) {
                     stats.views_skipped += 1;
                     stats.views_skipped_residual += 1;
                     continue;
@@ -1194,47 +1204,88 @@ fn nothing_pending(normalization: &NormalizationReport, touched: &Touched) -> bo
     touched.is_empty() && normalization.total() == 0
 }
 
-/// Is a residual gate open — does its event table hold at least one row
-/// satisfying all of the gate's predicates? An empty predicate list is
-/// always open (the plain emptiness gate already verified non-emptiness).
-fn residual_gate_open(db: &Database, gate: &ResidualGate) -> bool {
-    if gate.preds.is_empty() {
-        return true;
-    }
-    let evt_name = if gate.is_ins {
-        ins_table_name(&gate.table)
-    } else {
-        del_table_name(&gate.table)
-    };
-    let Some(evt) = db.table(&evt_name) else {
-        // No event table at all: closed (nothing can qualify).
-        return false;
-    };
-    evt.scan()
-        .any(|(_, row)| gate.preds.iter().all(|p| residual_pred_holds(row, p)))
+/// A residual gate as the commit-time check runs it: its event table's
+/// name and its predicates' constants are resolved once, at install, so
+/// testing the gate formats and allocates nothing.
+#[derive(Debug, Clone)]
+struct EventGate {
+    /// The gated event table (`ins_<table>` or `del_<table>`).
+    table: String,
+    /// Conjunction of necessary column predicates.
+    preds: Vec<GatePred>,
 }
 
-/// Evaluate one residual column predicate against a stored event row, with
-/// exactly the engine's SQL `WHERE` semantics: NULL and cross-class
-/// comparisons never match.
-fn residual_pred_holds(row: &[Value], pred: &ColPredicate) -> bool {
-    match pred {
-        ColPredicate::Null { col, negated } => match row.get(*col) {
-            Some(v) => v.is_null() != *negated,
-            None => false,
-        },
-        ColPredicate::Cmp { col, op, value } => {
-            let Some(v) = row.get(*col) else { return false };
-            let Some(ord) = v.sql_cmp(&konst_value(value)) else {
-                return false;
-            };
-            match op {
-                CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                CmpOp::NotEq => ord != std::cmp::Ordering::Equal,
-                CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                CmpOp::LtEq => ord != std::cmp::Ordering::Greater,
-                CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                CmpOp::GtEq => ord != std::cmp::Ordering::Less,
+/// One [`ColPredicate`] with its constant as an engine value.
+#[derive(Debug, Clone)]
+enum GatePred {
+    Null { col: usize, negated: bool },
+    Cmp { col: usize, op: CmpOp, value: Value },
+}
+
+impl EventGate {
+    fn new(gate: &ResidualGate) -> Self {
+        let table = if gate.is_ins {
+            ins_table_name(&gate.table)
+        } else {
+            del_table_name(&gate.table)
+        };
+        let preds = gate
+            .preds
+            .iter()
+            .map(|p| match p {
+                ColPredicate::Null { col, negated } => GatePred::Null {
+                    col: *col,
+                    negated: *negated,
+                },
+                ColPredicate::Cmp { col, op, value } => GatePred::Cmp {
+                    col: *col,
+                    op: *op,
+                    value: konst_value(value),
+                },
+            })
+            .collect();
+        EventGate { table, preds }
+    }
+
+    /// Is the gate open — does its event table hold at least one row
+    /// satisfying all of its predicates? An empty predicate list is always
+    /// open (the plain emptiness gate already verified non-emptiness).
+    fn is_open(&self, db: &Database) -> bool {
+        if self.preds.is_empty() {
+            return true;
+        }
+        let Some(evt) = db.table(&self.table) else {
+            // No event table at all: closed (nothing can qualify).
+            return false;
+        };
+        evt.scan()
+            .any(|(_, row)| self.preds.iter().all(|p| p.holds(row)))
+    }
+}
+
+impl GatePred {
+    /// Evaluate the predicate against a stored event row, with exactly the
+    /// engine's SQL `WHERE` semantics: NULL and cross-class comparisons
+    /// never match.
+    fn holds(&self, row: &[Value]) -> bool {
+        match self {
+            GatePred::Null { col, negated } => match row.get(*col) {
+                Some(v) => v.is_null() != *negated,
+                None => false,
+            },
+            GatePred::Cmp { col, op, value } => {
+                let Some(v) = row.get(*col) else { return false };
+                let Some(ord) = v.sql_cmp(value) else {
+                    return false;
+                };
+                match op {
+                    CmpOp::Eq => ord == std::cmp::Ordering::Equal,
+                    CmpOp::NotEq => ord != std::cmp::Ordering::Equal,
+                    CmpOp::Lt => ord == std::cmp::Ordering::Less,
+                    CmpOp::LtEq => ord != std::cmp::Ordering::Greater,
+                    CmpOp::Gt => ord == std::cmp::Ordering::Greater,
+                    CmpOp::GtEq => ord != std::cmp::Ordering::Less,
+                }
             }
         }
     }

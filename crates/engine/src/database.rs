@@ -1874,7 +1874,7 @@ impl Database {
 
 /// Append a copy of `row` to `out` if the row predicate holds for it.
 fn push_if_true<'a>(
-    pred: &query::CExpr,
+    pred: &query::RowExpr,
     row: &'a Row,
     ctx: &mut ExecCtx<'a>,
     out: &mut Vec<Row>,

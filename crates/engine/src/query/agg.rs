@@ -207,7 +207,7 @@ pub fn eval_gexpr(e: &GExpr, keys: &[Value], aggs: &[Value]) -> Result<Value> {
         {
             let l = eval_gexpr(left, keys, aggs)?;
             let r = eval_gexpr(right, keys, aggs)?;
-            super::exec::arith_pub(*op, l, r)?
+            super::exec::arith(*op, &l, &r)?
         }
         GExpr::Neg(x) => match eval_gexpr(x, keys, aggs)? {
             Value::Null => Value::Null,

@@ -5,11 +5,17 @@
 //! the first `FROM` source at which all its references are bound) and index
 //! selection (equality conjuncts binding an indexed column of a source to
 //! already-bound expressions become hash-index probes).
+//!
+//! A last pass over the finished plan ([`Finisher`]) numbers the
+//! per-execution state the executor keeps: one slot per base-table access,
+//! and one spool per `EXISTS` site together with the outer columns that key
+//! it (see `exec` for how the spool is used).
 
 use super::agg::{AggFunc, AggPlan, AggSpec, GExpr, GOutput};
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::value::Value;
+use std::sync::atomic::{AtomicU64, Ordering};
 use tintin_sql as sql;
 use tintin_sql::{BinOp, UnOp};
 
@@ -23,6 +29,40 @@ pub struct CompiledQuery {
     /// `(output index, descending)` sort keys.
     pub order_by: Vec<(usize, bool)>,
     pub limit: Option<u64>,
+    /// Sizes of the per-execution state this plan needs.
+    pub slots: Slots,
+}
+
+/// A compiled single-row expression (`DELETE`/`UPDATE` predicate,
+/// assignment, `CHECK` constraint) with the per-execution state it needs.
+#[derive(Debug, Clone)]
+pub struct RowExpr {
+    pub(crate) expr: CExpr,
+    pub(crate) slots: Slots,
+}
+
+/// The per-execution state a compiled plan asks of an `ExecCtx`: how many
+/// table slots (`Access::Scan`/`Access::Probe` `slot`s) and `EXISTS` spools
+/// (`CExpr::Exists` `site`s) it numbers, and an identity unique to this
+/// compilation, so a context reused across calls can tell whether the state
+/// it holds belongs to this plan. Clones share the identity, which is sound:
+/// they number the same slots for the same tables and sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slots {
+    pub(crate) id: u64,
+    pub(crate) tables: u32,
+    pub(crate) sites: u32,
+}
+
+/// A column an `EXISTS` site's branches read from outside the subquery,
+/// addressed from the site: `level` 0 is the select the `EXISTS` belongs to,
+/// 1 its enclosing select, and so on (the levels a `CExpr::Col` in place of
+/// the `EXISTS` would use).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OuterCol {
+    pub level: u32,
+    pub source: u32,
+    pub col: u32,
 }
 
 /// Union tree over compiled selects.
@@ -107,15 +147,17 @@ pub struct CSource {
     pub filters: Vec<CExpr>,
 }
 
-/// Access path for a source.
+/// Access path for a source. A base-table access carries the table slot
+/// the executor resolves the table through, once per execution.
 #[derive(Debug, Clone)]
 pub enum Access {
     /// Full scan of a base table.
-    Scan { table: String },
+    Scan { table: String, slot: u32 },
     /// Hash-index probe on a base table; `key` expressions reference only
     /// earlier sources, outer scopes, or constants.
     Probe {
         table: String,
+        slot: u32,
         index: usize,
         key: Vec<CExpr>,
     },
@@ -161,9 +203,14 @@ pub enum CExpr {
         expr: Box<CExpr>,
         negated: bool,
     },
+    /// `[NOT] EXISTS`: `site` numbers its spool within the plan; `corr`
+    /// lists every column its branches read from outside, at any depth —
+    /// equal values there mean an equal verdict within one execution.
     Exists {
         branches: Vec<CompiledSelect>,
         negated: bool,
+        site: u32,
+        corr: Vec<OuterCol>,
     },
     InSub(Box<CInSub>),
     InList {
@@ -213,7 +260,11 @@ pub fn compile_query(db: &Database, q: &sql::Query) -> Result<CompiledQuery> {
         db,
         scopes: Vec::new(),
     };
-    c.compile_query(q)
+    let mut compiled = c.compile_query(q)?;
+    let mut f = Finisher::default();
+    f.body(&mut compiled.body);
+    compiled.slots = f.slots();
+    Ok(compiled)
 }
 
 /// Compile an expression over a single-row scope of `table` (bound as
@@ -223,7 +274,7 @@ pub fn compile_row_predicate(
     table: &str,
     binding: &str,
     pred: &sql::Expr,
-) -> Result<CExpr> {
+) -> Result<RowExpr> {
     let t = db
         .table(table)
         .ok_or_else(|| EngineError::NoSuchTable(table.to_string()))?;
@@ -238,7 +289,13 @@ pub fn compile_row_predicate(
             sources: vec![info],
         }],
     };
-    c.compile_expr(pred)
+    let mut expr = c.compile_expr(pred)?;
+    let mut f = Finisher::default();
+    f.expr(&mut expr, &mut Vec::new());
+    Ok(RowExpr {
+        expr,
+        slots: f.slots(),
+    })
 }
 
 /// Compile a constant expression (no row context).
@@ -300,6 +357,7 @@ impl<'a> Compiler<'a> {
             width,
             order_by,
             limit: q.limit,
+            slots: Slots::NONE,
         })
     }
 
@@ -699,7 +757,7 @@ impl<'a> Compiler<'a> {
         match seed {
             SourceSeed::Table(table) => {
                 if candidates.is_empty() {
-                    return Ok((Access::Scan { table }, filters));
+                    return Ok((Access::Scan { table, slot: 0 }, filters));
                 }
                 let t = self
                     .db
@@ -728,13 +786,14 @@ impl<'a> Compiler<'a> {
                         Ok((
                             Access::Probe {
                                 table,
+                                slot: 0,
                                 index: ix,
                                 key,
                             },
                             residual,
                         ))
                     }
-                    None => Ok((Access::Scan { table }, filters)),
+                    None => Ok((Access::Scan { table, slot: 0 }, filters)),
                 }
             }
             SourceSeed::Mat(mat, _width) => {
@@ -788,6 +847,8 @@ impl<'a> Compiler<'a> {
             sql::Expr::Exists { query, negated } => CExpr::Exists {
                 branches: self.compile_subquery_branches(query)?,
                 negated: *negated,
+                site: 0,
+                corr: Vec::new(),
             },
             sql::Expr::InSubquery {
                 exprs,
@@ -1179,9 +1240,16 @@ pub(crate) fn shift_levels(e: &CExpr, by: u32) -> CExpr {
             expr: Box::new(shift_levels(expr, by)),
             negated: *negated,
         },
-        CExpr::Exists { branches, negated } => CExpr::Exists {
+        CExpr::Exists {
+            branches,
+            negated,
+            site,
+            corr,
+        } => CExpr::Exists {
             branches: branches.iter().map(|b| shift_select(b, by)).collect(),
             negated: *negated,
+            site: *site,
+            corr: corr.clone(),
         },
         CExpr::InSub(s) => CExpr::InSub(Box::new(CInSub {
             probes: s.probes.iter().map(|p| shift_levels(p, by)).collect(),
@@ -1228,12 +1296,19 @@ fn shift_select(s: &CompiledSelect, by: u32) -> CompiledSelect {
                 expr: Box::new(shift_expr_thresh(expr, by, thresh)),
                 negated: *negated,
             },
-            CExpr::Exists { branches, negated } => CExpr::Exists {
+            CExpr::Exists {
+                branches,
+                negated,
+                site,
+                corr,
+            } => CExpr::Exists {
                 branches: branches
                     .iter()
                     .map(|b| shift_select_thresh(b, by, thresh + 1))
                     .collect(),
                 negated: *negated,
+                site: *site,
+                corr: corr.clone(),
             },
             CExpr::InSub(s) => CExpr::InSub(Box::new(CInSub {
                 probes: s
@@ -1295,11 +1370,18 @@ fn shift_select(s: &CompiledSelect, by: u32) -> CompiledSelect {
                 .map(|src| CSource {
                     binding: src.binding.clone(),
                     access: match &src.access {
-                        Access::Scan { table } => Access::Scan {
+                        Access::Scan { table, slot } => Access::Scan {
                             table: table.clone(),
+                            slot: *slot,
                         },
-                        Access::Probe { table, index, key } => Access::Probe {
+                        Access::Probe {
+                            table,
+                            slot,
+                            index,
+                            key,
+                        } => Access::Probe {
                             table: table.clone(),
+                            slot: *slot,
                             index: *index,
                             key: key
                                 .iter()
@@ -1342,4 +1424,177 @@ fn shift_select(s: &CompiledSelect, by: u32) -> CompiledSelect {
         }
     }
     shift_select_thresh(s, by, 1)
+}
+
+impl Slots {
+    /// A plan that needs no per-execution state (and is never bound).
+    pub(crate) const NONE: Slots = Slots {
+        id: 0,
+        tables: 0,
+        sites: 0,
+    };
+}
+
+/// A fresh plan identity for [`Slots::id`]; never 0 ([`Slots::NONE`]).
+fn next_plan_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The last pass of a compilation, over the finished plan: numbers each
+/// base-table access with a table slot and each `EXISTS` with a spool site,
+/// and computes each site's correlation list. Running it after
+/// every rewrite (level shifting, `IN` fast-path folding) means no rewrite
+/// has to maintain them. Derived tables and views are plans of their own,
+/// finished when they are compiled.
+#[derive(Default)]
+struct Finisher {
+    tables: u32,
+    sites: u32,
+}
+
+impl Finisher {
+    fn slots(self) -> Slots {
+        Slots {
+            id: next_plan_id(),
+            tables: self.tables,
+            sites: self.sites,
+        }
+    }
+
+    fn table_slot(&mut self) -> u32 {
+        self.tables += 1;
+        self.tables - 1
+    }
+
+    fn body(&mut self, b: &mut CBody) {
+        match b {
+            CBody::Select(s) => {
+                self.select(s, &mut Vec::new());
+            }
+            CBody::Union { left, right, .. } => {
+                self.body(left);
+                self.body(right);
+            }
+        }
+    }
+
+    /// Finish a subquery branch and add the columns it reads from outside
+    /// itself to `outer`, addressed from the subquery's position (one level
+    /// up).
+    fn branch(&mut self, s: &mut CompiledSelect, outer: &mut Vec<OuterCol>) {
+        let mut refs = Vec::new();
+        self.select(s, &mut refs);
+        for r in refs {
+            push_unique(
+                outer,
+                OuterCol {
+                    level: r.level - 1,
+                    ..r
+                },
+            );
+        }
+    }
+
+    /// Finish `s`, adding every column it reads from enclosing selects
+    /// (addressed from `s`, so at level 1 or more) to `refs`.
+    fn select(&mut self, s: &mut CompiledSelect, refs: &mut Vec<OuterCol>) {
+        for f in &mut s.pre_filters {
+            self.expr(f, refs);
+        }
+        for src in &mut s.sources {
+            match &mut src.access {
+                Access::Scan { slot, .. } => *slot = self.table_slot(),
+                Access::Probe { slot, key, .. } => {
+                    *slot = self.table_slot();
+                    for k in key {
+                        self.expr(k, refs);
+                    }
+                }
+                Access::MatScan { .. } => {}
+                Access::MatProbe { key, .. } => {
+                    for k in key {
+                        self.expr(k, refs);
+                    }
+                }
+            }
+            for f in &mut src.filters {
+                self.expr(f, refs);
+            }
+        }
+        for o in &mut s.output {
+            self.expr(&mut o.expr, refs);
+        }
+        if let Some(plan) = &mut s.agg {
+            for k in &mut plan.group_by {
+                self.expr(k, refs);
+            }
+            for arg in plan.aggs.iter_mut().filter_map(|a| a.arg.as_mut()) {
+                self.expr(arg, refs);
+            }
+        }
+    }
+
+    /// Finish `e`, adding every column it reads from outside its select
+    /// (addressed from that select) to `refs`.
+    fn expr(&mut self, e: &mut CExpr, refs: &mut Vec<OuterCol>) {
+        match e {
+            CExpr::Col { level, source, col } if *level > 0 => push_unique(
+                refs,
+                OuterCol {
+                    level: *level,
+                    source: *source,
+                    col: *col,
+                },
+            ),
+            CExpr::Col { .. } => {}
+            CExpr::Const(_) | CExpr::Bool(_) => {}
+            CExpr::Binary { left, right, .. } => {
+                self.expr(left, refs);
+                self.expr(right, refs);
+            }
+            CExpr::Not(x) | CExpr::Neg(x) => self.expr(x, refs),
+            CExpr::IsNull { expr, .. } => self.expr(expr, refs),
+            CExpr::Exists {
+                branches,
+                site,
+                corr,
+                ..
+            } => {
+                *site = self.sites;
+                self.sites += 1;
+                corr.clear();
+                for b in branches {
+                    self.branch(b, corr);
+                }
+                for c in corr.iter().filter(|c| c.level > 0) {
+                    push_unique(refs, *c);
+                }
+            }
+            CExpr::InSub(s) => {
+                for p in &mut s.probes {
+                    self.expr(p, refs);
+                }
+                let mut inner = Vec::new();
+                for b in s.fast.iter_mut().flatten().chain(&mut s.slow) {
+                    self.branch(b, &mut inner);
+                }
+                for c in inner.into_iter().filter(|c| c.level > 0) {
+                    push_unique(refs, c);
+                }
+            }
+            CExpr::InList { probe, list, .. } => {
+                self.expr(probe, refs);
+                for x in list {
+                    self.expr(x, refs);
+                }
+            }
+        }
+    }
+}
+
+fn push_unique(refs: &mut Vec<OuterCol>, c: OuterCol) {
+    if !refs.contains(&c) {
+        refs.push(c);
+    }
 }

@@ -76,10 +76,12 @@ impl Renderer<'_> {
         }
         for src in &s.sources {
             match &src.access {
-                Access::Scan { table } => {
+                Access::Scan { table, .. } => {
                     self.line(depth + 1, &format!("Scan {table} as {}", src.binding));
                 }
-                Access::Probe { table, index, key } => {
+                Access::Probe {
+                    table, index, key, ..
+                } => {
                     let ixname = self
                         .db
                         .table(table)
@@ -133,15 +135,23 @@ impl Renderer<'_> {
     /// Render nested subquery plans under EXISTS/IN filters.
     fn subplans(&mut self, e: &CExpr, _outer: &CompiledSelect, depth: usize) {
         match e {
-            CExpr::Exists { branches, negated } => {
-                self.line(
-                    depth,
-                    if *negated {
-                        "AntiJoin (NOT EXISTS)"
-                    } else {
-                        "SemiJoin (EXISTS)"
-                    },
-                );
+            CExpr::Exists {
+                branches,
+                negated,
+                corr,
+                ..
+            } => {
+                // The spool key, written as the branches address it.
+                let key: Vec<String> = corr
+                    .iter()
+                    .map(|c| format!("outer[{}].src{}.#{}", c.level + 1, c.source, c.col))
+                    .collect();
+                let join = if *negated {
+                    "AntiJoin (NOT EXISTS)"
+                } else {
+                    "SemiJoin (EXISTS)"
+                };
+                self.line(depth, &format!("{join} spool on [{}]", key.join(", ")));
                 for b in branches {
                     self.select(b, depth + 1);
                 }
@@ -202,7 +212,7 @@ impl Renderer<'_> {
                         .sources
                         .get(*source as usize)
                         .and_then(|src| match &src.access {
-                            Access::Scan { table } | Access::Probe { table, .. } => self
+                            Access::Scan { table, .. } | Access::Probe { table, .. } => self
                                 .db
                                 .table(table)
                                 .and_then(|t| t.schema.columns.get(*col as usize))
@@ -274,11 +284,47 @@ mod tests {
                  SELECT 1 FROM lineitem l WHERE l.l_orderkey = o.o_orderkey)",
         );
         assert!(plan.contains("Scan orders as o"), "{plan}");
-        assert!(plan.contains("AntiJoin (NOT EXISTS)"), "{plan}");
+        assert!(
+            plan.contains("AntiJoin (NOT EXISTS) spool on [outer[1].src0.#0]"),
+            "{plan}"
+        );
         assert!(
             plan.contains("Probe lineitem as l via lineitem_fk0"),
             "{plan}"
         );
+    }
+
+    #[test]
+    fn explain_spool_key_lists_every_outer_column_at_any_depth() {
+        let d = db();
+        // The inner EXISTS reads o (two levels up) and l (one level up);
+        // the outer one's branches read o.o_orderkey at both depths, once.
+        let plan = explain(
+            &d,
+            "SELECT * FROM orders o WHERE EXISTS (
+                 SELECT * FROM lineitem l WHERE l.l_orderkey = o.o_orderkey
+                   AND NOT EXISTS (SELECT * FROM lineitem l2
+                       WHERE l2.l_orderkey = o.o_orderkey
+                         AND l2.l_linenumber = l.l_linenumber + 1))",
+        );
+        assert!(
+            plan.contains("SemiJoin (EXISTS) spool on [outer[1].src0.#0]"),
+            "{plan}"
+        );
+        assert!(
+            plan.contains("AntiJoin (NOT EXISTS) spool on [outer[2].src0.#0, outer[1].src0.#1]"),
+            "{plan}"
+        );
+    }
+
+    #[test]
+    fn explain_uncorrelated_exists_has_an_empty_spool_key() {
+        let d = db();
+        let plan = explain(
+            &d,
+            "SELECT * FROM orders WHERE NOT EXISTS (SELECT * FROM lineitem)",
+        );
+        assert!(plan.contains("AntiJoin (NOT EXISTS) spool on []"), "{plan}");
     }
 
     #[test]

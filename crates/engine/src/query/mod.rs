@@ -8,7 +8,8 @@
 //! `IN` subqueries — including union-bodied ones — are evaluated *per outer
 //! row* with the outer bindings visible, so equality conditions against
 //! outer columns become hash-index probes instead of materializing the
-//! subquery. Derived tables in a positive `FROM` position are materialized
+//! subquery, and an `EXISTS` whose outer values repeat those of the previous
+//! outer row reuses that row's verdict (its spool). Derived tables in a positive `FROM` position are materialized
 //! once per execution (with ad-hoc hash indexes built on demand), which is
 //! cheap in TINTIN's generated SQL because positive derived tables are
 //! always event-guarded (their rows are bounded by the update size).
@@ -21,7 +22,7 @@ mod explain;
 pub use agg::{AggFunc, AggPlan, AggSpec, GExpr, GOutput};
 pub use compile::{
     compile_query, compile_row_predicate, Access, CBody, CExpr, CInSub, COutput, CSource,
-    CompiledQuery, CompiledSelect, MatRef,
+    CompiledQuery, CompiledSelect, MatRef, OuterCol, RowExpr, Slots,
 };
 pub use exec::{
     eval_row_predicate, eval_row_scalar, execute_query as execute, query_returns_rows, ExecCtx,
@@ -36,6 +37,5 @@ use crate::value::Value;
 /// Evaluate a constant (row-independent) expression, e.g. a `VALUES` item.
 pub fn eval_const(db: &Database, e: &tintin_sql::Expr) -> Result<Value> {
     let ce = compile::compile_const_expr(db, e)?;
-    let mut ctx = ExecCtx::new(db, ReadCtx::LATEST);
-    exec::eval_scalar(&ce, &mut ctx)
+    exec::eval_scalar(&ce, &ExecCtx::new(db, ReadCtx::LATEST))
 }

@@ -650,3 +650,22 @@ fn large_indexed_join_is_fast() {
         t0.elapsed()
     );
 }
+
+#[test]
+fn view_probe_matches_int_keys_against_equal_reals() {
+    // A probe into a materialized view has no column type to coerce its key
+    // to; `1 = 1.0` must still hold there, as it does for a base table.
+    let mut db = Database::new();
+    db.execute_sql(
+        "CREATE TABLE a (x REAL);
+         INSERT INTO a VALUES (1.0), (1.5);
+         CREATE VIEW v AS SELECT x FROM a;
+         CREATE TABLE t (k INT);
+         INSERT INTO t VALUES (1), (2);",
+    )
+    .unwrap();
+    let exists = "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM v WHERE v.x = t.k)";
+    assert_eq!(ints(&db, exists), vec![1]);
+    assert_eq!(ints(&db, "SELECT k FROM t, v WHERE v.x = t.k"), vec![1]);
+    assert_eq!(ints(&db, "SELECT k FROM t, a WHERE a.x = t.k"), vec![1]);
+}
