@@ -416,19 +416,9 @@ impl Installation {
     /// vendor-specific and are left to the target system).
     pub fn export_sql(&self, db: &Database) -> String {
         let mut out = String::new();
-        out.push_str(
-            "-- Generated by tintin-rs: incremental integrity checking views
-",
-        );
-        out.push_str(
-            "-- (EDBT 2016, \"TINTIN: a Tool for INcremental INTegrity checking\")
-
-",
-        );
-        out.push_str(
-            "-- Event tables (populate via INSTEAD OF triggers or application code):
-",
-        );
+        out.push_str("-- Generated by tintin-rs: incremental integrity checking views\n");
+        out.push_str("-- (EDBT 2016, \"TINTIN: a Tool for INcremental INTegrity checking\")\n\n");
+        out.push_str("-- Event tables (populate via INSTEAD OF triggers or application code):\n");
         for t in db.captured_tables() {
             let base = db.table(&t).expect("captured table exists");
             for prefix in ["ins_", "del_"] {
@@ -439,37 +429,25 @@ impl Installation {
                     .map(|c| format!("{} {}", c.name, c.ty))
                     .collect();
                 out.push_str(&format!(
-                    "CREATE TABLE {prefix}{t} ({});
-",
+                    "CREATE TABLE {prefix}{t} ({});\n",
                     cols.join(", ")
                 ));
             }
         }
         out.push('\n');
         for a in &self.assertions {
-            out.push_str(&format!(
-                "-- assertion {}:
-",
-                a.name
-            ));
+            out.push_str(&format!("-- assertion {}:\n", a.name));
             for line in a.source_sql.lines() {
-                out.push_str(&format!(
-                    "--   {}
-",
-                    line.trim()
-                ));
+                out.push_str(&format!("--   {}\n", line.trim()));
             }
             for v in self.views.iter().filter(|v| v.assertion == a.name) {
                 out.push_str(&v.sql_text);
-                out.push_str(
-                    ";
-",
-                );
+                out.push_str(";\n");
             }
             if self.fallbacks.iter().any(|f| f.assertion == a.name) {
                 out.push_str(
-                    "--   (aggregate assertion: checked by re-running the original                      query, no incremental view)
-",
+                    "--   (aggregate assertion: checked by re-running the original query, \
+                     no incremental view)\n",
                 );
             }
             out.push('\n');

@@ -10,21 +10,43 @@
 //! event tables, and while capture is enabled, DML against the base table is
 //! redirected to them.
 //!
+//! DML has one planner, [`Database::plan_dml`]: every `INSERT`, `DELETE`,
+//! `UPDATE` and `TRUNCATE` — from a session transaction, a session
+//! autocommit or the single owner's [`Database::execute`] — becomes row
+//! changes there, under set semantics (an insertion of a row the statement
+//! already observes is a no-op). The single owner's statement on a
+//! captured table is planned through the events already staged, as a
+//! transaction's statement is planned through its overlay (kept as one
+//! between statements, so a batch costs O(batch)), and its effect is
+//! staged ([`Database::stage_overlay`]) for `safeCommit`.
+//!
 //! # Committing
 //!
 //! There is one commit mechanism: row-version MVCC.
 //! [`Database::normalize_events`] makes the staged events consistent with
 //! the base tables and returns the [`Touched`] set — the event tables still
 //! holding rows, with their counts — that every later step takes:
-//! [`Database::apply_pending_versioned`] stamps the events into the base
+//! [`Database::apply_pending_versioned`] moves the events into the base
 //! tables as versions of the next commit timestamp,
 //! [`Database::truncate_events`] resets the event tables and
 //! [`Database::publish_commit`] makes the timestamp visible. Until it is
 //! published, [`Database::unapply_pending_versioned`] withdraws the apply —
 //! which is how a rejected non-incremental recheck backs out. Session
-//! commits, recovery replay and the single-owner `safeCommit` all run this
-//! sequence; an open session transaction lives in its private
-//! [`TxOverlay`], not in the database.
+//! commits and the single-owner `safeCommit` run this sequence; an open
+//! session transaction lives in its private [`TxOverlay`], not in the
+//! database.
+//!
+//! An update that needs no check skips the event tables:
+//! [`Database::apply_overlay_versioned`] writes an overlay straight into
+//! the base tables through the same per-table apply. Recovery replays
+//! logged commits with it, and the single owner's statement on a table
+//! without capture commits with it at once — unchecked: applied at the
+//! next commit timestamp and published as a commit is, so the clock ticks
+//! once per statement that changes something and older snapshots keep
+//! their view. That statement prunes no versions: a `Database` does not
+//! know the snapshots a [`SharedDatabase`](crate::SharedDatabase)
+//! registered, so its dead versions wait for [`Database::gc_versions`] at
+//! a horizon that does ([`SharedDatabase::gc_horizon`](crate::SharedDatabase::gc_horizon)).
 //!
 //! # Reading
 //!
@@ -171,7 +193,8 @@ struct ViewDef {
 pub enum StatementResult {
     /// DDL succeeded.
     Ddl,
-    /// DML affected this many rows (for captured tables: recorded events).
+    /// DML (or `TRUNCATE`) matched or proposed this many rows — duplicates
+    /// that set semantics drop included.
     RowsAffected(usize),
     /// A query returned rows.
     Rows(ResultSet),
@@ -278,6 +301,9 @@ pub struct Database {
     gc_runs: u64,
     /// Cumulative versions pruned by garbage collection.
     gc_pruned: u64,
+    /// The single owner's staged events as an overlay, with the event
+    /// tables' content stamps it mirrors (see [`Database::staged_overlay`]).
+    staged: Option<(TxOverlay, Vec<(u64, u64)>)>,
 }
 
 impl Database {
@@ -645,77 +671,36 @@ impl Database {
             let del_name = del_table_name(&base_name);
 
             // 1. Dedupe within each event table.
-            for (evt, counter) in [(&ins_name, 0usize), (&del_name, 1usize)] {
-                let t = self.tables.get_mut(evt).expect("event table exists");
-                let drop_ids: Vec<RowId> = {
-                    let mut seen: FxHashSet<&Row> = FxHashSet::default();
-                    t.scan()
-                        .filter(|(_, row)| !seen.insert(row))
-                        .map(|(id, _)| id)
-                        .collect()
-                };
-                for id in &drop_ids {
-                    t.delete_row(*id);
-                }
-                if counter == 0 {
-                    report.dup_ins += drop_ids.len();
-                } else {
-                    report.dup_del += drop_ids.len();
-                }
+            let dups = [
+                (&ins_name, &mut report.dup_ins),
+                (&del_name, &mut report.dup_del),
+            ];
+            for (evt, count) in dups {
+                let mut seen: FxHashSet<&Row> = FxHashSet::default();
+                let ids: Vec<RowId> = (self.tables[evt].scan())
+                    .filter(|(_, row)| !seen.insert(row))
+                    .map(|(id, _)| id)
+                    .collect();
+                *count += self.delete_events(evt, &ids);
             }
 
             // 2. Drop deletions of rows that don't exist in the base table.
-            {
-                let base = &self.tables[&base_name];
-                let del = &self.tables[&del_name];
-                let mut drop_ids = Vec::new();
-                for (id, row) in del.scan() {
-                    if base.find_identical(row).is_none() {
-                        drop_ids.push(id);
-                    }
-                }
-                report.missing_del += drop_ids.len();
-                let del = self.tables.get_mut(&del_name).unwrap();
-                for id in drop_ids {
-                    del.delete_row(id);
-                }
-            }
+            let missing = self.events_in_base(&del_name, &base_name, false);
+            report.missing_del += self.delete_events(&del_name, &missing);
 
             // 3. Cancel identical ins/del pairs (delete-then-reinsert of an
             //    existing row is a net no-op under apply order del→ins).
-            {
-                let ins = &self.tables[&ins_name];
-                let del = &self.tables[&del_name];
-                let mut pairs = Vec::new();
-                for (ins_id, row) in ins.scan() {
-                    if let Some(del_id) = del.find_identical(row) {
-                        pairs.push((ins_id, del_id));
-                    }
-                }
-                report.cancelled += pairs.len();
-                for (ins_id, del_id) in pairs {
-                    self.tables.get_mut(&ins_name).unwrap().delete_row(ins_id);
-                    self.tables.get_mut(&del_name).unwrap().delete_row(del_id);
-                }
-            }
+            let del = &self.tables[&del_name];
+            let (ins_ids, del_ids): (Vec<RowId>, Vec<RowId>) = (self.tables[&ins_name].scan())
+                .filter_map(|(id, row)| Some((id, del.find_identical(row)?)))
+                .unzip();
+            report.cancelled += self.delete_events(&ins_name, &ins_ids);
+            self.delete_events(&del_name, &del_ids);
 
             // 4. Drop insertions identical to surviving base rows (no-ops
             //    under set semantics).
-            {
-                let base = &self.tables[&base_name];
-                let ins = &self.tables[&ins_name];
-                let mut drop_ids = Vec::new();
-                for (id, row) in ins.scan() {
-                    if base.find_identical(row).is_some() {
-                        drop_ids.push(id);
-                    }
-                }
-                report.noop_ins += drop_ids.len();
-                let ins = self.tables.get_mut(&ins_name).unwrap();
-                for id in drop_ids {
-                    ins.delete_row(id);
-                }
-            }
+            let noops = self.events_in_base(&ins_name, &base_name, true);
+            report.noop_ins += self.delete_events(&ins_name, &noops);
 
             // What survived normalization is what the rest of the commit
             // needs to look at.
@@ -732,11 +717,31 @@ impl Database {
         Ok((report, Touched(post)))
     }
 
+    /// The rows of event table `evt` that have (`present`) or lack an
+    /// identical live row in table `base`.
+    fn events_in_base(&self, evt: &str, base: &str, present: bool) -> Vec<RowId> {
+        let base = &self.tables[base];
+        (self.tables[evt].scan())
+            .filter(|(_, row)| base.find_identical(row).is_some() == present)
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// Remove the rows `ids` from event table `evt`; returns how many.
+    fn delete_events(&mut self, evt: &str, ids: &[RowId]) -> usize {
+        let t = self.tables.get_mut(evt).expect("event table exists");
+        for &id in ids {
+            t.delete_row(id);
+        }
+        ids.len()
+    }
+
     /// Empty the `touched` event tables (the last step of `safeCommit`).
     /// Event tables `touched` does not list are left alone (no allocation,
     /// no index clearing); a caller without a list passes
     /// [`Database::touched_event_tables`].
     pub fn truncate_events(&mut self, touched: &Touched) {
+        self.staged = None;
         for e in touched.iter() {
             if e.ins > 0 {
                 if let Some(t) = self.tables.get_mut(&ins_table_name(&e.table)) {
@@ -941,10 +946,10 @@ impl Database {
     /// pre-commit state; the new state becomes visible when the caller
     /// publishes `ts` ([`Database::publish_commit`]).
     ///
-    /// The insertion events are *moved* into the base tables — afterwards
-    /// the touched `ins_T` tables are empty (the `del_T` tables are left for
-    /// [`Database::truncate_events`]). A caller that needs the staged
-    /// effects ([`Database::staged_effects`]) reads them first.
+    /// The events are *moved* into the base tables — afterwards the
+    /// touched event tables are empty, and [`Database::truncate_events`]
+    /// has nothing left to free. A caller that needs the staged effects
+    /// ([`Database::staged_effects`]) reads them first.
     ///
     /// On failure the partial apply is compensated by un-stamping — no undo
     /// log needed, since `ts` is not yet published and thus unobservable.
@@ -956,58 +961,85 @@ impl Database {
         touched: &Touched,
         ts: u64,
     ) -> Result<AppliedVersions> {
-        let mut applied = AppliedVersions::default();
-        match self.apply_versions(touched, ts, &mut applied) {
-            Ok(()) => Ok(applied),
-            Err(e) => {
-                self.unapply_pending_versioned(applied);
-                Err(e)
-            }
-        }
+        let mut take = |n: usize, name: String| match self.tables.get_mut(&name) {
+            Some(t) if n > 0 => t.take_rows(),
+            _ => Vec::new(),
+        };
+        let events: Vec<_> = touched
+            .iter()
+            .map(|e| {
+                let del = take(e.del, del_table_name(&e.table));
+                (e.table.clone(), take(e.ins, ins_table_name(&e.table)), del)
+            })
+            .collect();
+        self.apply_rows(events, ts)
     }
 
-    fn apply_versions(
+    /// Write `overlay` straight into the base tables as versions of commit
+    /// timestamp `ts`, with no event tables in between — the apply step of
+    /// a commit whose effects need no check: the single owner's unchecked
+    /// DML, and recovery replaying logged (already checked and normalized)
+    /// effects. Rows are applied as [`Database::apply_pending_versioned`]
+    /// applies events, and a failure withdraws the partial apply the same
+    /// way. The caller publishes `ts`. Returns the tables written, with
+    /// their insertion and deletion counts ([`Database::maybe_gc`] takes
+    /// them).
+    pub fn apply_overlay_versioned(&mut self, overlay: TxOverlay, ts: u64) -> Result<Touched> {
+        let deltas = overlay.into_deltas();
+        let written = deltas
+            .iter()
+            .map(|(table, d)| TableEvents {
+                table: table.clone(),
+                ins: d.ins_rows().len(),
+                del: d.del_rows().len(),
+            })
+            .collect();
+        let rows = deltas.into_iter().map(|(table, d)| {
+            let (ins, del) = d.into_rows();
+            (table, ins, del)
+        });
+        self.apply_rows(rows.collect(), ts)?;
+        Ok(Touched(written))
+    }
+
+    /// The core of every versioned apply, per `(table, insertions,
+    /// deletions)`: every live version identical to a deleted row is
+    /// stamped dead at `ts`, then the inserted rows become versions
+    /// beginning at `ts` — deletions first, so a key-shifting update frees
+    /// its old keys before the new rows claim them. A failure withdraws
+    /// what was applied before it.
+    fn apply_rows(
         &mut self,
-        touched: &Touched,
+        rows: Vec<(String, Vec<Row>, Vec<Row>)>,
         ts: u64,
-        applied: &mut AppliedVersions,
-    ) -> Result<()> {
-        let mut buf = String::new();
+    ) -> Result<AppliedVersions> {
+        let mut applied = AppliedVersions::default();
         let mut ids: Vec<RowId> = Vec::new();
-        for base_name in touched.iter().filter(|e| e.del > 0).map(|e| &e.table) {
-            let base = &self.tables[base_name];
-            let del = event_table(&self.tables, &mut buf, "del_", base_name)
-                .expect("capture implies event table");
+        for (table, ins, del) in rows {
+            let Some(base) = self.tables.get_mut(&table) else {
+                self.unapply_pending_versioned(applied);
+                return Err(EngineError::NoSuchTable(table));
+            };
             ids.clear();
-            for (_, row) in del.scan() {
+            for row in &del {
                 base.find_identical_all(row, &mut ids);
             }
-            let base = self.tables.get_mut(base_name).expect("looked up above");
             let stamped = ids.iter().filter(|&&id| base.delete_row_at(id, ts)).count();
+            let mut inserted = Vec::with_capacity(ins.len());
+            let done = ins
+                .into_iter()
+                .try_for_each(|row| base.insert_row_at(row, ts).map(|id| inserted.push(id)));
             applied.tables.push(AppliedTable {
-                table: base_name.clone(),
+                table,
                 stamped,
-                inserted: Vec::new(),
+                inserted,
             });
-        }
-        for base_name in touched.iter().filter(|e| e.ins > 0).map(|e| &e.table) {
-            let rows = self
-                .tables
-                .get_mut(&ins_table_name(base_name))
-                .expect("capture implies event table")
-                .take_rows();
-            applied.tables.push(AppliedTable {
-                table: base_name.clone(),
-                stamped: 0,
-                inserted: Vec::with_capacity(rows.len()),
-            });
-            let inserted = &mut applied.tables.last_mut().expect("just pushed").inserted;
-            let base = self.tables.get_mut(base_name).expect("touched base table");
-            for row in rows {
-                inserted.push(base.insert_row_at(row, ts)?);
+            if let Err(e) = done {
+                self.unapply_pending_versioned(applied);
+                return Err(e);
             }
         }
-        Ok(())
+        Ok(applied)
     }
 
     /// Withdraw a [`Database::apply_pending_versioned`]: versions it
@@ -1157,21 +1189,17 @@ impl Database {
         stmts.iter().map(|s| self.execute(s)).collect()
     }
 
-    /// Execute a single parsed statement.
+    /// Execute a single parsed statement. DML is planned with
+    /// [`Database::plan_dml`] at the published clock and then staged (a
+    /// captured table) or committed unchecked at once (any other table);
+    /// see the [module documentation](self).
     pub fn execute(&mut self, stmt: &sql::Statement) -> Result<StatementResult> {
+        let ddl = |done: Result<()>| done.map(|()| StatementResult::Ddl);
         match stmt {
-            sql::Statement::CreateTable(ct) => {
-                let schema = TableSchema::from_ast(ct)?;
-                self.create_table(schema)?;
-                Ok(StatementResult::Ddl)
-            }
-            sql::Statement::CreateView(cv) => {
-                self.create_view(&cv.name, cv.query.clone())?;
-                Ok(StatementResult::Ddl)
-            }
+            sql::Statement::CreateTable(ct) => ddl(self.create_table(TableSchema::from_ast(ct)?)),
+            sql::Statement::CreateView(cv) => ddl(self.create_view(&cv.name, cv.query.clone())),
             sql::Statement::CreateIndex(ci) => {
-                self.create_index(&ci.name, &ci.table, &ci.columns, ci.unique)?;
-                Ok(StatementResult::Ddl)
+                ddl(self.create_index(&ci.name, &ci.table, &ci.columns, ci.unique))
             }
             sql::Statement::CreateAssertion(_)
             | sql::Statement::DropAssertion { .. }
@@ -1180,36 +1208,16 @@ impl Database {
                  not by the raw engine"
                     .into(),
             )),
-            sql::Statement::DropTable { name, if_exists } => {
-                self.drop_table(name, *if_exists)?;
-                Ok(StatementResult::Ddl)
-            }
-            sql::Statement::DropView { name, if_exists } => {
-                self.drop_view(name, *if_exists)?;
-                Ok(StatementResult::Ddl)
-            }
-            sql::Statement::DropIndex { name, table } => {
-                self.drop_index(name, table)?;
-                Ok(StatementResult::Ddl)
-            }
-            sql::Statement::TruncateTable { name } => {
-                let t = self
-                    .tables
-                    .get_mut(name)
-                    .ok_or_else(|| EngineError::NoSuchTable(name.clone()))?;
-                t.truncate();
-                Ok(StatementResult::Ddl)
-            }
-            sql::Statement::Insert(ins) => {
-                let n = self.exec_insert(ins)?;
-                Ok(StatementResult::RowsAffected(n))
-            }
-            sql::Statement::Delete(del) => {
-                let n = self.exec_delete(del)?;
-                Ok(StatementResult::RowsAffected(n))
-            }
-            sql::Statement::Update(upd) => {
-                let n = self.exec_update(upd)?;
+            sql::Statement::DropTable { name, if_exists } => ddl(self.drop_table(name, *if_exists)),
+            sql::Statement::DropView { name, if_exists } => ddl(self.drop_view(name, *if_exists)),
+            sql::Statement::DropIndex { name, table } => ddl(self.drop_index(name, table)),
+            sql::Statement::Insert(sql::Insert { table, .. })
+            | sql::Statement::Delete(sql::Delete { table, .. })
+            | sql::Statement::Update(sql::Update { table, .. })
+            | sql::Statement::TruncateTable { name: table } => {
+                let n = self.write_planned(table, |db, overlay, snapshot| {
+                    db.plan_dml(stmt, overlay, snapshot)
+                })?;
                 Ok(StatementResult::RowsAffected(n))
             }
             sql::Statement::Query(q) => Ok(StatementResult::Rows(self.query(q, ReadCtx::LATEST)?)),
@@ -1223,11 +1231,6 @@ impl Database {
                     .into(),
             )),
         }
-    }
-
-    fn exec_insert(&mut self, ins: &sql::Insert) -> Result<usize> {
-        let validated = self.insert_source_rows(ins, ReadCtx::LATEST)?;
-        self.apply_validated_inserts(&ins.table, validated)
     }
 
     /// Compute the fully-positional, schema-validated, constraint-checked
@@ -1257,9 +1260,10 @@ impl Database {
             sql::InsertSource::Values(rows) => {
                 let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
+                    // Exact capacity: the row is boxed as it is and stored.
                     let mut vals = Vec::with_capacity(row.len());
                     for e in row {
-                        vals.push(self.eval_const_expr(e)?);
+                        vals.push(query::eval_const(self, e)?);
                     }
                     out.push(vals);
                 }
@@ -1293,49 +1297,48 @@ impl Database {
             };
             full_rows.push(row);
         }
-        // Validate (arity/types/not-null/checks) against the *base* schema
-        // even when capture is on, so errors surface at statement time.
-        let validated: Vec<Row> = full_rows
-            .into_iter()
-            .map(|r| target.validate(r))
-            .collect::<Result<_>>()?;
-        self.check_row_constraints(&ins.table, &validated, read)?;
-        Ok(validated)
+        self.validated_rows(&ins.table, full_rows, read)
     }
 
-    /// Insert fully-positional rows, honouring event capture.
-    pub fn insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
-        // Validate (arity/types/not-null/checks) against the *base* schema
-        // even when capture is on, so errors surface at statement time.
-        let validated: Vec<Row> = {
-            let t = self
-                .tables
-                .get(table)
-                .ok_or_else(|| EngineError::NoSuchTable(table.to_string()))?;
-            rows.into_iter()
-                .map(|r| t.validate(r))
-                .collect::<Result<_>>()?
-        };
-        self.check_row_constraints(table, &validated, ReadCtx::LATEST)?;
-        self.apply_validated_inserts(table, validated)
-    }
-
-    /// Apply already-validated rows to `table`, honouring event capture.
-    fn apply_validated_inserts(&mut self, table: &str, validated: Vec<Row>) -> Result<usize> {
-        let n = validated.len();
-        let target = if self.captured.contains(table) {
-            ins_table_name(table)
-        } else {
-            table.to_string()
-        };
+    /// Validate fully-positional rows for `table` (arity, types, `NOT
+    /// NULL`, `CHECK`) against the *base* schema, so errors surface at
+    /// statement time even when capture is on.
+    fn validated_rows(
+        &self,
+        table: &str,
+        rows: Vec<Vec<Value>>,
+        read: ReadCtx<'_>,
+    ) -> Result<Vec<Row>> {
         let t = self
             .tables
-            .get_mut(&target)
-            .expect("validated rows name an existing table, and capture implies its event table");
-        for row in validated {
-            t.insert_row_at(row, 0)?;
-        }
-        Ok(n)
+            .get(table)
+            .ok_or_else(|| EngineError::NoSuchTable(table.to_string()))?;
+        let rows: Vec<Row> = rows
+            .into_iter()
+            .map(|r| t.validate(r))
+            .collect::<Result<_>>()?;
+        self.check_row_constraints(table, &rows, read)?;
+        Ok(rows)
+    }
+
+    /// Insert fully-positional rows as the single owner — the programmatic
+    /// `INSERT … VALUES`: planned (set semantics, unique check) and then
+    /// staged or committed exactly like the statement.
+    pub fn insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
+        self.write_planned(table, |db, overlay, snapshot| {
+            let read = ReadCtx {
+                snapshot,
+                overlay: Some(overlay),
+            };
+            let ins = db.validated_rows(table, rows, read)?;
+            let delta = DmlDelta {
+                table: table.to_string(),
+                rows_affected: ins.len(),
+                ins,
+                ..DmlDelta::default()
+            };
+            db.plan_tail(delta, read)
+        })
     }
 
     /// Insert rows directly into the base table, bypassing capture (bulk
@@ -1352,179 +1355,99 @@ impl Database {
         Ok(n)
     }
 
-    /// The live rows of `t` matching `pred` (every row without one), with
-    /// their ids. Keyed predicates are index-accelerated: `col = const`
-    /// conjuncts probe the best covering index, and the full predicate is
-    /// still evaluated on the candidates.
-    fn live_matches<'a>(
-        &'a self,
-        t: &'a Table,
-        binding: &str,
-        pred: Option<&sql::Expr>,
-    ) -> Result<Vec<(RowId, Row)>> {
-        let Some(pred) = pred else {
-            return Ok(t.scan().map(|(id, r)| (id, r.clone())).collect());
+    /// One write of the single owner to `table`: `plan` computes its effect
+    /// at the published clock (a [`Database::plan_dml`] call), and the
+    /// effect then goes where the target sends it. A captured table's
+    /// effect is staged into its event tables for `safeCommit`, and the
+    /// statement is planned through the events already staged there, so a
+    /// batch of statements reads its own writes as a session transaction
+    /// does. A hand-staged write to an event table lands in that table.
+    /// Any other table commits at once, unchecked: the effect is applied
+    /// at the next commit timestamp ([`Database::apply_overlay_versioned`])
+    /// and published; an empty one leaves the clock alone. Nothing is
+    /// garbage-collected here: a `Database` cannot see the snapshots a
+    /// [`SharedDatabase`](crate::SharedDatabase) registered, so the dead
+    /// versions wait for [`Database::gc_versions`] at a horizon that can.
+    /// Returns the rows affected.
+    fn write_planned(
+        &mut self,
+        table: &str,
+        plan: impl FnOnce(&Self, &TxOverlay, u64) -> Result<DmlDelta>,
+    ) -> Result<usize> {
+        let captured = self.is_captured(table);
+        let mut pending = if captured {
+            self.staged_overlay()
+        } else {
+            TxOverlay::new()
         };
-        let compiled = query::compile_row_predicate(self, &t.schema.name, binding, pred)?;
-        let probe = key_probe(t, binding, pred, self)?;
-        let mut ctx = ExecCtx::new(self, ReadCtx::LATEST);
-        let mut hits = Vec::new();
-        let mut visit = |id: RowId, row: &'a Row| -> Result<()> {
-            if query::eval_row_predicate(&compiled, row, &mut ctx)? == Truth::True {
-                hits.push((id, row.clone()));
-            }
-            Ok(())
-        };
-        match probe.candidates(t) {
-            Some(ids) => {
-                for id in ids {
-                    if let Some(row) = t.get(id) {
-                        visit(id, row)?;
-                    }
-                }
-            }
-            None => {
-                for (id, row) in t.scan() {
-                    visit(id, row)?;
+        let delta = plan(self, &pending, self.current_ts())?;
+        let n = delta.rows_affected;
+        if !delta.retract_ins.is_empty() {
+            // Deleting or updating a staged insertion un-stages it.
+            let ins_t = (self.tables.get_mut(&ins_table_name(table)))
+                .expect("only a captured table has staged insertions");
+            for row in &delta.retract_ins {
+                if let Some(id) = ins_t.find_identical(row) {
+                    ins_t.delete_row(id);
                 }
             }
         }
-        Ok(hits)
-    }
-
-    fn exec_delete(&mut self, del: &sql::Delete) -> Result<usize> {
-        let matching: Vec<(RowId, Row)> = {
-            let t = self
-                .tables
-                .get(&del.table)
-                .ok_or_else(|| EngineError::NoSuchTable(del.table.clone()))?;
-            let binding = del.alias.as_ref().unwrap_or(&del.table);
-            self.live_matches(t, binding, del.predicate.as_ref())?
-        };
-        let n = matching.len();
-        if self.captured.contains(&del.table) {
-            let evt = self
-                .tables
-                .get_mut(&del_table_name(&del.table))
-                .expect("capture implies event table");
-            for (_, row) in matching {
-                // Avoid duplicate capture of the same tuple.
-                if evt.find_identical(&row).is_none() {
-                    evt.insert(row.into_vec())?;
-                }
+        let mut overlay = TxOverlay::new();
+        if captured {
+            pending.apply_delta(delta.clone());
+        }
+        overlay.apply_delta(delta);
+        if captured || self.is_event_table(table) {
+            self.stage_overlay(overlay, 0)?;
+            if captured {
+                self.staged = Some((pending, self.event_stamps()));
             }
-        } else {
-            let t = self.tables.get_mut(&del.table).unwrap();
-            for (id, _) in matching {
-                t.delete_row(id);
-            }
+        } else if !overlay.is_empty() {
+            // Nothing to check: commit at once, as `safeCommit` would.
+            let ts = self.next_commit_ts();
+            self.apply_overlay_versioned(overlay, ts)?;
+            self.publish_commit(ts);
         }
         Ok(n)
     }
 
-    /// `UPDATE` decomposes into a deletion of the old rows plus an insertion
-    /// of the modified rows — exactly TINTIN's update model. With capture
-    /// enabled this records one `del_T` and one `ins_T` event per row.
-    fn exec_update(&mut self, upd: &sql::Update) -> Result<usize> {
-        let binding = upd.alias.clone().unwrap_or_else(|| upd.table.clone());
-        // Resolve assignment targets.
-        let (positions, matching): (Vec<usize>, Vec<(RowId, Row)>) = {
-            let t = self
-                .tables
-                .get(&upd.table)
-                .ok_or_else(|| EngineError::NoSuchTable(upd.table.clone()))?;
-            let mut positions = Vec::with_capacity(upd.assignments.len());
-            for (col, _) in &upd.assignments {
-                let p = t
-                    .schema
-                    .column_index(col)
-                    .ok_or_else(|| EngineError::NoSuchColumn(format!("{}.{}", upd.table, col)))?;
-                if positions.contains(&p) {
-                    return Err(EngineError::InvalidDdl(format!(
-                        "column '{col}' assigned twice in UPDATE"
-                    )));
-                }
-                positions.push(p);
+    /// The events staged in the event tables, as the overlay of a
+    /// transaction that proposed them. A single-owner write folds its
+    /// effect into this overlay as it stages it and keeps the overlay,
+    /// which is reused while every event table still holds what it held
+    /// then, so a batch of statements costs O(batch), not O(batch²);
+    /// anything else that writes an event table makes the next write
+    /// rebuild it.
+    fn staged_overlay(&mut self) -> TxOverlay {
+        match self.staged.take() {
+            Some((overlay, seen)) if seen == self.event_stamps() => return overlay,
+            _ => {}
+        }
+        let mut overlay = TxOverlay::new();
+        for e in self.touched_event_tables().iter() {
+            let d = overlay.delta_mut(&e.table);
+            let base = &self.tables[&e.table];
+            d.index_keys(base.indexes().iter().map(|ix| ix.columns.clone()).collect());
+            for (_, row) in self.tables[&ins_table_name(&e.table)].scan() {
+                d.push_ins(row.clone());
             }
-            (
-                positions,
-                self.live_matches(t, &binding, upd.predicate.as_ref())?,
-            )
-        };
+            for (_, row) in self.tables[&del_table_name(&e.table)].scan() {
+                d.push_del(row.clone());
+            }
+        }
+        overlay
+    }
 
-        // Compute the new rows (assignment expressions see the old row).
-        let mut compiled_values = Vec::with_capacity(upd.assignments.len());
-        for (_, e) in &upd.assignments {
-            compiled_values.push(query::compile_row_predicate(self, &upd.table, &binding, e)?);
-        }
-        let mut replacements: Vec<(RowId, Row, Vec<Value>)> = Vec::new();
-        {
-            let mut ctx = ExecCtx::new(self, ReadCtx::LATEST);
-            for (id, old) in &matching {
-                let mut new_row = old.to_vec();
-                for (p, ce) in positions.iter().zip(&compiled_values) {
-                    new_row[*p] = query::eval_row_scalar(ce, old, &mut ctx)?;
-                }
-                replacements.push((*id, old.clone(), new_row));
-            }
-        }
-        let n = replacements.len();
-        // Validate all new rows up front (types / NOT NULL / CHECK).
-        let validated: Vec<Row> = {
-            let t = &self.tables[&upd.table];
-            replacements
-                .iter()
-                .map(|(_, _, new)| t.validate(new.clone()))
-                .collect::<Result<_>>()?
+    /// The content stamps of every event table.
+    fn event_stamps(&self) -> Vec<(u64, u64)> {
+        let mut buf = String::new();
+        let mut stamp = |prefix: &str, base: &str| {
+            event_table(&self.tables, &mut buf, prefix, base).map(Table::content_stamp)
         };
-        self.check_row_constraints(&upd.table, &validated, ReadCtx::LATEST)?;
-
-        if self.captured.contains(&upd.table) {
-            // Record del(old) + ins(new) events; skip no-op rows.
-            let del_name = del_table_name(&upd.table);
-            let ins_name = ins_table_name(&upd.table);
-            for ((_, old, _), new) in replacements.iter().zip(validated) {
-                if old.as_ref() == new.as_ref() {
-                    continue;
-                }
-                let del = self.tables.get_mut(&del_name).unwrap();
-                if del.find_identical(old).is_none() {
-                    del.insert(old.to_vec())?;
-                }
-                let ins = self.tables.get_mut(&ins_name).unwrap();
-                ins.insert(new.into_vec())?;
-            }
-        } else {
-            // Two-phase apply so key-shifting updates (pk = pk + 1) don't
-            // trip over themselves; rolls back on any conflict, so a failed
-            // statement is a net no-op.
-            let t = self.tables.get_mut(&upd.table).unwrap();
-            for (id, _, _) in &replacements {
-                t.delete_row(*id);
-            }
-            let mut inserted: Vec<RowId> = Vec::new();
-            let mut failure: Option<EngineError> = None;
-            for new in validated {
-                match t.insert(new.into_vec()) {
-                    Ok(id) => inserted.push(id),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = failure {
-                for id in inserted {
-                    t.delete_row(id);
-                }
-                for (_, old, _) in replacements {
-                    t.insert(old.into_vec())
-                        .expect("restoring original rows cannot fail");
-                }
-                return Err(e);
-            }
-        }
-        Ok(n)
+        (self.captured.iter())
+            .flat_map(|t| [stamp("ins_", t), stamp("del_", t)])
+            .flatten()
+            .collect()
     }
 
     // ----------------------------------------------- transaction planning
@@ -1553,7 +1476,7 @@ impl Database {
             snapshot,
             overlay: Some(overlay),
         };
-        let mut delta = match stmt {
+        let delta = match stmt {
             sql::Statement::Insert(ins) => {
                 let rows = self.insert_source_rows(ins, read)?;
                 DmlDelta {
@@ -1563,14 +1486,24 @@ impl Database {
                     ..DmlDelta::default()
                 }
             }
-            sql::Statement::Delete(del) => self.plan_delete(del, overlay, snapshot)?,
-            sql::Statement::Update(upd) => self.plan_update(upd, overlay, snapshot)?,
+            sql::Statement::Delete(del) => {
+                self.plan_delete(&del.table, del.alias.as_ref(), del.predicate.as_ref(), read)?
+            }
+            sql::Statement::TruncateTable { name } => self.plan_delete(name, None, None, read)?,
+            sql::Statement::Update(upd) => self.plan_update(upd, read)?,
             other => {
                 return Err(EngineError::Unsupported(format!(
-                    "plan_dml expects INSERT / DELETE / UPDATE, got: {other}"
+                    "plan_dml expects INSERT / DELETE / UPDATE / TRUNCATE, got: {other}"
                 )))
             }
         };
+        self.plan_tail(delta, read)
+    }
+
+    /// The tail every planned write goes through: set semantics (planned
+    /// insertions the transaction already observes are dropped) and the
+    /// statement-time unique check.
+    fn plan_tail(&self, mut delta: DmlDelta, read: ReadCtx<'_>) -> Result<DmlDelta> {
         let Some(t) = self.tables.get(&delta.table) else {
             // A vanished table surfaces at stage time.
             return Ok(delta);
@@ -1582,8 +1515,8 @@ impl Database {
         // (small) effect — never built.
         let view = StatementView {
             table: t,
-            snapshot,
-            overlay: overlay.delta(&delta.table),
+            snapshot: read.snapshot,
+            overlay: read.overlay.and_then(|o| o.delta(&delta.table)),
             retracted: count_rows(&delta.retract_ins),
             deleted: delta.del.iter().map(|r| r.as_ref()).collect(),
         };
@@ -1599,46 +1532,41 @@ impl Database {
         Ok(delta)
     }
 
-    /// Rows of `table` matching `pred` through `overlay`: surviving base
-    /// rows (hidden-by-deletion rows excluded) and matching pending
-    /// insertions, separately — the caller needs the provenance to decide
-    /// between a deletion event and a retraction. A keyed predicate probes
-    /// both sides (the base table's index and the overlay's mirror of it),
-    /// so the cost follows the rows matched, not the rows pending.
+    /// Rows of `table` matching `pred` (every row without one) in the state
+    /// `read` observes: surviving base rows (hidden-by-deletion rows
+    /// excluded) and matching pending insertions, separately — the caller
+    /// needs the provenance to decide between a deletion event and a
+    /// retraction. A keyed predicate probes both sides (the base table's
+    /// index and the overlay's mirror of it), so the cost follows the rows
+    /// matched, not the rows pending.
     fn visible_matches(
         &self,
         table: &str,
         alias: Option<&String>,
         pred: Option<&sql::Expr>,
-        overlay: &TxOverlay,
-        snapshot: u64,
+        read: ReadCtx<'_>,
     ) -> Result<(Vec<Row>, Vec<Row>)> {
         let t = self
             .tables
             .get(table)
             .ok_or_else(|| EngineError::NoSuchTable(table.to_string()))?;
-        let delta = overlay.delta(table);
+        let snapshot = read.snapshot;
+        let delta = read.overlay.and_then(|o| o.delta(table));
         let hidden = |row: &[Value]| delta.is_some_and(|d| d.hides(row));
-        let Some(pred) = pred else {
-            let base = t
-                .scan_at(snapshot)
-                .filter(|(_, row)| !hidden(row))
-                .map(|(_, row)| row.clone())
-                .collect();
-            let pending = delta.map_or_else(Vec::new, |d| d.ins_rows().cloned().collect());
-            return Ok((base, pending));
-        };
-        let binding = alias.cloned().unwrap_or_else(|| table.to_string());
-        let compiled = query::compile_row_predicate(self, table, &binding, pred)?;
-        let read = ReadCtx {
-            snapshot,
-            overlay: Some(overlay),
+        let binding = alias.map_or(table, String::as_str);
+        let (compiled, probe) = match pred {
+            Some(pred) => (
+                Some(query::compile_row_predicate(self, table, binding, pred)?),
+                key_probe(t, binding, pred, self)?,
+            ),
+            None => (None, KeyProbe::Scan),
         };
         let mut ctx = ExecCtx::new(self, read);
-        let mut matching = |row, out: &mut Vec<Row>| push_if_true(&compiled, row, &mut ctx, out);
+        let mut matching =
+            |row, out: &mut Vec<Row>| push_if_true(compiled.as_ref(), row, &mut ctx, out);
         let mut base = Vec::new();
         let mut pending = Vec::new();
-        match key_probe(t, &binding, pred, self)? {
+        match probe {
             KeyProbe::Nothing => {}
             KeyProbe::Scan => {
                 for (_, row) in t.scan_at(snapshot).filter(|(_, row)| !hidden(row)) {
@@ -1664,26 +1592,22 @@ impl Database {
         Ok((base, pending))
     }
 
+    /// `DELETE FROM table [alias] [WHERE pred]`; `TRUNCATE` is the form
+    /// without a predicate.
     fn plan_delete(
         &self,
-        del: &sql::Delete,
-        overlay: &TxOverlay,
-        snapshot: u64,
+        table: &str,
+        alias: Option<&String>,
+        pred: Option<&sql::Expr>,
+        read: ReadCtx<'_>,
     ) -> Result<DmlDelta> {
-        let (base, pending) = self.visible_matches(
-            &del.table,
-            del.alias.as_ref(),
-            del.predicate.as_ref(),
-            overlay,
-            snapshot,
-        )?;
-        let rows_affected = base.len() + pending.len();
+        let (base, pending) = self.visible_matches(table, alias, pred, read)?;
         // One deletion event removes one identical base row at apply time,
         // so extra identical matches collapse — exactly how event capture
         // deduplicates `del_T` rows.
         Ok(DmlDelta {
-            table: del.table.clone(),
-            rows_affected,
+            table: table.to_string(),
+            rows_affected: base.len() + pending.len(),
             del: dedup_rows(base),
             retract_ins: pending,
             ..DmlDelta::default()
@@ -1694,19 +1618,15 @@ impl Database {
     /// state — TINTIN's update model, applied to the overlay instead of the
     /// event tables. Updating a row this transaction itself inserted
     /// retracts the pending insertion and proposes the modified row.
-    fn plan_update(
-        &self,
-        upd: &sql::Update,
-        overlay: &TxOverlay,
-        snapshot: u64,
-    ) -> Result<DmlDelta> {
+    fn plan_update(&self, upd: &sql::Update, read: ReadCtx<'_>) -> Result<DmlDelta> {
         let t = self
             .tables
             .get(&upd.table)
             .ok_or_else(|| EngineError::NoSuchTable(upd.table.clone()))?;
-        let binding = upd.alias.clone().unwrap_or_else(|| upd.table.clone());
+        let binding = upd.alias.as_ref().unwrap_or(&upd.table);
         let mut positions = Vec::with_capacity(upd.assignments.len());
-        for (col, _) in &upd.assignments {
+        let mut compiled_values = Vec::with_capacity(upd.assignments.len());
+        for (col, e) in &upd.assignments {
             let p = t
                 .schema
                 .column_index(col)
@@ -1717,26 +1637,14 @@ impl Database {
                 )));
             }
             positions.push(p);
+            compiled_values.push(query::compile_row_predicate(self, &upd.table, binding, e)?);
         }
-        let mut compiled_values = Vec::with_capacity(upd.assignments.len());
-        for (_, e) in &upd.assignments {
-            compiled_values.push(query::compile_row_predicate(self, &upd.table, &binding, e)?);
-        }
-        let (base, pending) = self.visible_matches(
-            &upd.table,
-            upd.alias.as_ref(),
-            upd.predicate.as_ref(),
-            overlay,
-            snapshot,
-        )?;
+        let (base, pending) =
+            self.visible_matches(&upd.table, upd.alias.as_ref(), upd.predicate.as_ref(), read)?;
         let mut delta = DmlDelta {
             table: upd.table.clone(),
             rows_affected: base.len() + pending.len(),
             ..DmlDelta::default()
-        };
-        let read = ReadCtx {
-            snapshot,
-            overlay: Some(overlay),
         };
         let mut ctx = ExecCtx::new(self, read);
         let matched = base
@@ -1843,11 +1751,6 @@ impl Database {
         Ok(())
     }
 
-    /// Evaluate a constant expression (VALUES lists).
-    fn eval_const_expr(&self, e: &sql::Expr) -> Result<Value> {
-        query::eval_const(self, e)
-    }
-
     /// Evaluate the schema's CHECK constraints against candidate rows.
     fn check_row_constraints(&self, table: &str, rows: &[Row], read: ReadCtx<'_>) -> Result<()> {
         let t = &self.tables[table];
@@ -1872,14 +1775,19 @@ impl Database {
     }
 }
 
-/// Append a copy of `row` to `out` if the row predicate holds for it.
+/// Append a copy of `row` to `out` if the row predicate holds for it (or
+/// there is none).
 fn push_if_true<'a>(
-    pred: &query::RowExpr,
+    pred: Option<&query::RowExpr>,
     row: &'a Row,
     ctx: &mut ExecCtx<'a>,
     out: &mut Vec<Row>,
 ) -> Result<()> {
-    if query::eval_row_predicate(pred, row, ctx)? == Truth::True {
+    let holds = match pred {
+        Some(pred) => query::eval_row_predicate(pred, row, ctx)? == Truth::True,
+        None => true,
+    };
+    if holds {
         out.push(row.clone());
     }
     Ok(())
@@ -2042,18 +1950,6 @@ enum KeyProbe {
     /// Probe index number `.0` of the table with key `.1`; the full
     /// predicate is still evaluated on the candidates.
     Index(usize, Vec<Value>),
-}
-
-impl KeyProbe {
-    /// The candidate version ids in `t` (`None`: scan). They include dead
-    /// versions; filter with [`Table::get`].
-    fn candidates<'a>(&'a self, t: &'a Table) -> Option<impl Iterator<Item = RowId> + 'a> {
-        match self {
-            KeyProbe::Scan => None,
-            KeyProbe::Nothing => Some(None.into_iter().flatten()),
-            KeyProbe::Index(ix, key) => Some(Some(t.probe(*ix, key)).into_iter().flatten()),
-        }
-    }
 }
 
 /// Plan the candidate lookup for a DELETE / UPDATE predicate: the best
@@ -2252,5 +2148,47 @@ mod tests {
             .query_sql(&format!("SELECT b FROM t WHERE a = {}", k[0]))
             .unwrap();
         assert_eq!(rs.len(), 1);
+    }
+
+    /// Single-owner writes to a captured table plan through the staged
+    /// events, which they keep as an overlay between statements; events
+    /// staged, restored or truncated by any other path are seen by the
+    /// next write all the same.
+    #[test]
+    fn single_owner_writes_see_events_changed_by_other_paths() {
+        let mut db = Database::new();
+        db.execute_sql("CREATE TABLE t (k INT PRIMARY KEY)")
+            .unwrap();
+        db.enable_capture("t").unwrap();
+        let run = |db: &mut Database, stmt: &str| match db.execute_sql(stmt).unwrap()[..] {
+            [StatementResult::RowsAffected(n)] => n,
+            ref other => panic!("{other:?}"),
+        };
+        let staged = |db: &Database| db.pending_counts(TS_LATEST);
+        assert_eq!(run(&mut db, "INSERT INTO t VALUES (1)"), 1);
+        db.insert_direct("ins_t", vec![vec![Value::Int(2)]])
+            .unwrap();
+        assert_eq!(run(&mut db, "DELETE FROM t WHERE k = 2"), 1);
+        assert_eq!(staged(&db), (1, 0));
+        let saved = db.snapshot_events();
+        assert_eq!(run(&mut db, "DELETE FROM t WHERE k = 1"), 1);
+        assert_eq!(staged(&db), (0, 0));
+        db.restore_events(saved);
+        assert_eq!(run(&mut db, "UPDATE t SET k = 3 WHERE k = 1"), 1);
+        assert_eq!(staged(&db), (1, 0));
+        let touched = db.touched_event_tables();
+        db.truncate_events(&touched);
+        assert_eq!(run(&mut db, "DELETE FROM t"), 0);
+        assert_eq!(staged(&db), (0, 0));
+        // Normalization drops a staged insertion the base table holds.
+        db.insert_direct("t", vec![vec![Value::Int(5)]]).unwrap();
+        assert_eq!(run(&mut db, "INSERT INTO t VALUES (6)"), 1);
+        db.insert_direct("ins_t", vec![vec![Value::Int(5)]])
+            .unwrap();
+        assert_eq!(run(&mut db, "INSERT INTO t VALUES (7)"), 1);
+        db.normalize_events().unwrap();
+        assert_eq!(staged(&db), (2, 0));
+        assert_eq!(run(&mut db, "DELETE FROM t WHERE k = 5"), 1);
+        assert_eq!(staged(&db), (2, 1));
     }
 }

@@ -65,6 +65,7 @@ use crate::error::{EngineError, Result};
 use crate::hash::{hash_values, SlotIndex};
 use crate::schema::TableSchema;
 use crate::value::{Row, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Stable identifier of a row version within its table.
 pub type RowId = u32;
@@ -190,6 +191,26 @@ impl HashIndex {
     }
 }
 
+/// Source of [`Lineage`] values, unique across the process.
+static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(1);
+
+/// A table object's identity in [`Table::content_stamp`]: drawn fresh at
+/// creation and at every clone, so no two table objects share one.
+#[derive(Debug)]
+struct Lineage(u64);
+
+impl Lineage {
+    fn fresh() -> Self {
+        Lineage(NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for Lineage {
+    fn clone(&self) -> Self {
+        Lineage::fresh()
+    }
+}
+
 /// An in-memory table of row versions.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -212,6 +233,9 @@ pub struct Table {
     /// it exactly.
     min_dead_end: u64,
     indexes: Vec<HashIndex>,
+    lineage: Lineage,
+    /// Changes to the stored versions so far (see [`Table::content_stamp`]).
+    writes: u64,
 }
 
 impl Table {
@@ -226,6 +250,8 @@ impl Table {
             dead: Vec::new(),
             min_dead_end: TS_LIVE,
             indexes: Vec::new(),
+            lineage: Lineage::fresh(),
+            writes: 0,
         };
         if !t.schema.primary_key.is_empty() {
             t.indexes.push(HashIndex::new(
@@ -262,6 +288,13 @@ impl Table {
     /// until [`Table::gc`] prunes them.
     pub fn version_counts(&self) -> (usize, usize) {
         (self.live, self.dead.len())
+    }
+
+    /// Names the versions this table stores: two equal stamps mean the same
+    /// versions. Every change to them moves the stamp, and no two table
+    /// objects (a clone included) ever share one.
+    pub(crate) fn content_stamp(&self) -> (u64, u64) {
+        (self.lineage.0, self.writes)
     }
 
     /// Number of rows visible to a snapshot taken at commit timestamp `s`.
@@ -392,6 +425,7 @@ impl Table {
             end: TS_LIVE,
         });
         self.live += 1;
+        self.writes += 1;
         Ok(id)
     }
 
@@ -420,6 +454,7 @@ impl Table {
             ix.remove(&version.row, id);
         }
         self.free.push(id);
+        self.writes += 1;
         Some(version)
     }
 
@@ -437,6 +472,7 @@ impl Table {
         }
         version.end = end;
         self.live -= 1;
+        self.writes += 1;
         self.dead.push(id);
         self.min_dead_end = self.min_dead_end.min(end);
         true
@@ -454,6 +490,7 @@ impl Table {
             if let Some(v) = self.slots[id as usize].as_mut() {
                 v.end = TS_LIVE;
                 self.live += 1;
+                self.writes += 1;
             }
         }
         // The bound may now be conservatively low, which is allowed; it is
@@ -509,8 +546,11 @@ impl Table {
     }
 
     /// Remove all rows — *including* dead versions retained for older
-    /// snapshots (`TRUNCATE` is not transactional).
+    /// snapshots, so it is only for tables no snapshot reads: event tables
+    /// between commits. (`TRUNCATE TABLE` is a planned `DELETE` that stamps
+    /// versions dead; it never calls this.)
     pub fn truncate(&mut self) {
+        self.writes += 1;
         self.slots.clear();
         self.free.clear();
         self.live = 0;

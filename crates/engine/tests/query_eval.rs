@@ -364,6 +364,9 @@ fn qualified_wildcard() {
 #[test]
 fn event_capture_redirects_dml() {
     let mut db = db_orders();
+    // The setup's two statements committed unchecked, one tick each.
+    let setup_ts = db.current_ts();
+    assert_eq!(setup_ts, 2);
     db.enable_capture("orders").unwrap();
     db.enable_capture("lineitem").unwrap();
 
@@ -393,7 +396,7 @@ fn event_capture_redirects_dml() {
 
     // Withdrawing the unpublished apply restores exactly.
     db.unapply_pending_versioned(applied);
-    assert_eq!(db.current_ts(), 0);
+    assert_eq!(db.current_ts(), setup_ts);
     assert_eq!(db.table("orders").unwrap().len(), 3);
     assert_eq!(db.table("lineitem").unwrap().len(), 3);
     assert_eq!(
@@ -430,8 +433,19 @@ fn normalization_cancels_and_dedups() {
         .unwrap();
     db.execute_sql("INSERT INTO orders VALUES (1, 10, 100.0)")
         .unwrap();
-    db.execute_sql("INSERT INTO orders VALUES (7, 70, 7.0), (7, 70, 7.0)")
+    // A duplicate within one INSERT is a set-semantics no-op at plan time:
+    // both rows count as affected, one is staged (next to order 1's).
+    let res = db
+        .execute_sql("INSERT INTO orders VALUES (7, 70, 7.0), (7, 70, 7.0)")
         .unwrap();
+    assert_eq!(res[0], StatementResult::RowsAffected(2));
+    assert_eq!(ints(&db, "SELECT o_orderkey FROM ins_orders"), vec![1, 7]);
+    // A duplicate staged by hand is left to normalization.
+    db.insert_direct(
+        "ins_orders",
+        vec![vec![Value::Int(7), Value::Int(70), Value::real(7.0)]],
+    )
+    .unwrap();
     db.execute_sql("DELETE FROM orders WHERE o_orderkey = 2")
         .unwrap();
     db.execute_sql("DELETE FROM orders WHERE o_orderkey = 2")
@@ -455,9 +469,21 @@ fn normalization_cancels_and_dedups() {
 fn apply_rolls_back_on_pk_conflict() {
     let mut db = db_orders();
     db.enable_capture("orders").unwrap();
-    // Conflicting insert (order 1 exists with different attributes).
-    db.execute_sql("INSERT INTO orders VALUES (1, 99, 9.9)")
-        .unwrap();
+    let setup_ts = db.current_ts();
+    // A conflicting insert (order 1 exists with different attributes) is
+    // refused when it is planned; staged by hand, it fails at apply time.
+    let err = db
+        .execute_sql("INSERT INTO orders VALUES (1, 99, 9.9)")
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        tintin_engine::EngineError::UniqueViolation { .. }
+    ));
+    db.insert_direct(
+        "ins_orders",
+        vec![vec![Value::Int(1), Value::Int(99), Value::real(9.9)]],
+    )
+    .unwrap();
     db.execute_sql("INSERT INTO orders VALUES (5, 50, 5.0)")
         .unwrap();
     let (_, touched) = db.normalize_events().unwrap();
@@ -469,7 +495,7 @@ fn apply_rolls_back_on_pk_conflict() {
         tintin_engine::EngineError::UniqueViolation { .. }
     ));
     // The partial apply was un-stamped: base rows and the clock untouched.
-    assert_eq!(db.current_ts(), 0);
+    assert_eq!(db.current_ts(), setup_ts);
     assert_eq!(db.mvcc_stats().dead_versions, 0);
     assert_eq!(db.table("orders").unwrap().len(), 3);
     assert_eq!(ints(&db, "SELECT o_orderkey FROM orders"), vec![1, 2, 3]);

@@ -35,8 +35,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use tintin::{Installation, Tintin};
-use tintin_engine::{Database, Row, SharedDatabase, TxOverlay};
+use tintin_engine::{Database, EngineError, Row, SharedDatabase, TxOverlay};
 use tintin_obs::{log_info, Counter, Registry};
+use tintin_sql as sql;
 use tintin_wal::{
     read_checkpoint, write_checkpoint, Checkpoint, Lsn, TableEffects, Wal, WalError, WalRecord,
 };
@@ -292,10 +293,11 @@ pub(crate) fn drop_assertion_in(
     Ok(())
 }
 
-/// Replay one logged commit through the same stage → normalize → apply →
-/// publish pipeline the original commit used. The effects were captured
-/// post-normalization, so normalization here is a near-no-op; replaying
-/// effects (not SQL) makes phantoms impossible.
+/// Replay one logged commit: its effects go straight into the base tables
+/// as versions of `ts` ([`Database::apply_overlay_versioned`]), and `ts` is
+/// published. The effects were logged after normalization and checking, so
+/// there is nothing to stage, normalize or check again; replaying effects
+/// (not SQL) makes phantoms impossible.
 fn replay_commit(db: &mut Database, ts: u64, effects: &[TableEffects]) -> Result<()> {
     let mut overlay = TxOverlay::new();
     for e in effects {
@@ -307,19 +309,33 @@ fn replay_commit(db: &mut Database, ts: u64, effects: &[TableEffects]) -> Result
             d.push_del(row.clone());
         }
     }
-    if overlay.is_empty() {
-        db.publish_commit(ts);
-        return Ok(());
+    db.apply_overlay_versioned(overlay, ts)
+        .map_err(|e| corrupt(format!("commit replay at ts {ts} failed: {e}")))?;
+    db.publish_commit(ts);
+    Ok(())
+}
+
+/// Replay one logged catalog statement. A log written before `TRUNCATE`
+/// became a checked commit holds it here, and it keeps the meaning it had
+/// then: every row of the table is gone at once, bypassing capture, and
+/// the clock does not move (the next logged commit holds the next
+/// timestamp). Its rows are stamped dead at the published timestamp, so
+/// no read from then on sees them.
+fn replay_ddl(db: &mut Database, sql: &str) -> tintin_engine::Result<()> {
+    for stmt in sql::parse_statements(sql)? {
+        let sql::Statement::TruncateTable { name } = &stmt else {
+            db.execute(&stmt)?;
+            continue;
+        };
+        let table = (db.table(name)).ok_or_else(|| EngineError::NoSuchTable(name.clone()))?;
+        let mut overlay = TxOverlay::new();
+        let d = overlay.delta_mut(name);
+        for (_, row) in table.scan() {
+            d.push_del(row.clone());
+        }
+        db.apply_overlay_versioned(overlay, db.current_ts())?;
     }
-    (|| -> Result<()> {
-        db.stage_overlay(overlay, ts)?;
-        let (_, touched) = db.normalize_events()?;
-        db.apply_pending_versioned(&touched, ts)?;
-        db.truncate_events(&touched);
-        db.publish_commit(ts);
-        Ok(())
-    })()
-    .map_err(|e| corrupt(format!("commit replay at ts {ts} failed: {e}")))
+    Ok(())
 }
 
 impl Server {
@@ -400,7 +416,7 @@ impl Server {
             next_lsn += 1;
             match rec {
                 WalRecord::Ddl { sql } => {
-                    db.execute_sql(sql)
+                    replay_ddl(&mut db, sql)
                         .map_err(|e| corrupt(format!("DDL replay failed ({sql}): {e}")))?;
                     ddl_log.push(sql.clone());
                     catalog_replayed += 1;

@@ -48,8 +48,9 @@
 //! one see the transaction's `BEGIN`-time snapshot plus its own pending
 //! updates — and never another session's. Old row versions are pruned by
 //! commit-piggybacked garbage collection once no live snapshot can see
-//! them. Schema changes (`CREATE` / `DROP` / `TRUNCATE`) are not
-//! transactional and are rejected while a transaction is open;
+//! them. Schema changes (`CREATE` / `DROP`) are not transactional and are
+//! rejected while a transaction is open, and so is `TRUNCATE`, which
+//! otherwise runs as an autocommitted, checked `DELETE` of every row;
 //! `CREATE ASSERTION` outside a transaction installs the assertion
 //! (incremental views and all) for every attached session on the fly.
 //!
@@ -1086,6 +1087,10 @@ impl Session {
                     .map(|e| StatementOutcome::Explain(Box::new(e)))
                     .ok_or_else(|| SessionError::NoSuchAssertion(name.clone()))
             }
+            // `TRUNCATE` is a planned `DELETE` of every row, checked like
+            // any other autocommitted statement; inside a transaction it is
+            // fenced out with the schema changes below.
+            sql::Statement::TruncateTable { .. } if !self.in_transaction() => self.autocommit(stmt),
             ddl if ddl.is_ddl() => {
                 if self.in_transaction() {
                     // The verb phrase comes from the AST variant, not from
@@ -1971,12 +1976,15 @@ mod tests {
             // Hand-stage an event identical to an existing base row: the
             // set-semantics no-op normalization must drop it even when no
             // assertion is installed. (Capture is already on: the
-            // autocommit above enabled it when staging.)
+            // autocommit above enabled it when staging.) Staged straight
+            // into `ins_t`: a planned insert would drop the no-op itself.
             let mut db = s.database().write();
             if !db.is_captured("t") {
                 db.enable_capture("t").unwrap();
             }
-            db.insert_rows("t", vec![vec![Value::Int(1)]]).unwrap();
+            db.insert_direct("ins_t", vec![vec![Value::Int(1)]])
+                .unwrap();
+            assert_eq!(db.table("ins_t").unwrap().len(), 1);
         }
         let out = s
             .execute("BEGIN; INSERT INTO t VALUES (2); COMMIT;")

@@ -3,7 +3,10 @@
 //! no-rejected-residue guarantee. The crash/torn-write *matrix* lives in
 //! `tintin-sim`; these tests pin the individual recovery behaviors.
 
+use tintin_engine::{Row, Value};
+use tintin_obs::Registry;
 use tintin_session::{DurabilityFault, DurabilityOptions, Server, StatementOutcome};
+use tintin_wal::{TableEffects, Wal, WalRecord};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -353,5 +356,115 @@ fn wal_metrics_flow_into_the_server_registry() {
     assert!(snap.counter("tintin_wal_records").unwrap_or(0) >= 3);
     assert!(snap.counter("tintin_wal_bytes_appended").unwrap_or(0) > 0);
     assert!(snap.counter("tintin_wal_fsyncs").unwrap_or(0) > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `TRUNCATE` is a checked `DELETE` of every row: one that would violate an
+/// installed assertion is rejected, and one that commits is logged as a
+/// commit, so the data directory always recovers to a consistent state.
+#[test]
+fn truncate_is_checked_and_recovers() {
+    let dir = tmpdir("truncate");
+    {
+        let server = Server::open(&dir).unwrap();
+        let mut s = server.connect();
+        s.execute(
+            "CREATE TABLE orders (o_orderkey INT PRIMARY KEY);
+             CREATE TABLE lineitem (
+                 l_orderkey INT NOT NULL REFERENCES orders,
+                 l_linenumber INT NOT NULL,
+                 PRIMARY KEY (l_orderkey, l_linenumber));
+             CREATE TABLE notes (n INT);
+             CREATE ASSERTION atLeastOneLineItem CHECK (NOT EXISTS (
+                 SELECT * FROM orders o WHERE NOT EXISTS (
+                     SELECT * FROM lineitem l WHERE l.l_orderkey = o.o_orderkey)));",
+        )
+        .unwrap();
+        s.execute(
+            "BEGIN; INSERT INTO orders VALUES (1); INSERT INTO lineitem VALUES (1, 1);
+             INSERT INTO notes VALUES (7), (8); COMMIT;",
+        )
+        .unwrap();
+        let logged = server.wal_status().unwrap().appended_lsn;
+        let out = s.execute("TRUNCATE TABLE lineitem").unwrap();
+        assert!(out[0].is_rejected(), "{out:?}");
+        assert_eq!(server.wal_status().unwrap().appended_lsn, logged);
+        let out = s.execute("TRUNCATE TABLE notes").unwrap();
+        assert!(
+            matches!(out[0], StatementOutcome::Committed { deleted: 2, .. }),
+            "{out:?}"
+        );
+    }
+    let server = Server::open(&dir).unwrap();
+    assert_eq!(server.recovery_summary().unwrap().commits_replayed, 2);
+    assert_eq!(
+        dump(&server),
+        vec![
+            ("lineitem".to_string(), vec!["[Int(1), Int(1)]".to_string()]),
+            ("notes".to_string(), vec![]),
+            ("orders".to_string(), vec!["[Int(1)]".to_string()]),
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Logs written before `TRUNCATE` became a checked commit hold it as a
+/// catalog record. Recovery replays it with the meaning it had then: every
+/// row gone, on a captured table too, and no timestamp of its own, so the
+/// commits logged after it replay over the emptied tables at theirs.
+#[test]
+fn logged_truncate_records_replay_as_written() {
+    let dir = tmpdir("logged-truncate");
+    let ts = {
+        let server = Server::open(&dir).unwrap();
+        setup_schema(&server);
+        let mut s = server.connect();
+        s.execute(
+            "CREATE TABLE notes (n INT);
+             BEGIN; INSERT INTO t VALUES (1, 1), (2, 2); INSERT INTO notes VALUES (7), (8); COMMIT;",
+        )
+        .unwrap();
+        let ts = server.database().read().current_ts();
+        ts
+    };
+    let row = |vals: &[i64]| -> Row { vals.iter().map(|&v| Value::Int(v)).collect() };
+    let (wal, _) = Wal::open(&dir.join("wal"), &Registry::new()).unwrap();
+    for record in [
+        WalRecord::Ddl {
+            sql: "TRUNCATE TABLE t".into(),
+        },
+        WalRecord::Ddl {
+            sql: "TRUNCATE TABLE notes".into(),
+        },
+        WalRecord::Commit {
+            ts: ts + 1,
+            effects: vec![
+                TableEffects {
+                    table: "notes".into(),
+                    ins: vec![row(&[7])],
+                    del: vec![],
+                },
+                TableEffects {
+                    table: "t".into(),
+                    ins: vec![row(&[1, 1])],
+                    del: vec![],
+                },
+            ],
+        },
+    ] {
+        let lsn = wal.append(&record).unwrap();
+        wal.sync(lsn).unwrap();
+    }
+    drop(wal);
+    let server = Server::open(&dir).unwrap();
+    assert_eq!(server.recovery_summary().unwrap().commits_replayed, 2);
+    assert_eq!(server.database().read().current_ts(), ts + 1);
+    assert_eq!(
+        dump(&server),
+        vec![
+            ("notes".to_string(), vec!["[Int(7)]".to_string()]),
+            ("t".to_string(), vec!["[Int(1), Int(1)]".to_string()]),
+        ]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -42,6 +42,8 @@ pub enum Statement {
     ExplainAssertion {
         name: Ident,
     },
+    /// `TRUNCATE TABLE name`: a `DELETE` of every row, planned, checked
+    /// and logged like one, but not allowed inside a transaction.
     TruncateTable {
         name: Ident,
     },
@@ -85,7 +87,8 @@ impl Statement {
         )
     }
 
-    /// Schema-changing statements, which are not transactional.
+    /// Statements that are not transactional: the schema changes, and
+    /// `TRUNCATE`.
     pub fn is_ddl(&self) -> bool {
         matches!(
             self,

@@ -486,9 +486,19 @@ fn update_statement_checked_incrementally() {
         .unwrap();
     assert_eq!(rs.rows[0][0], Value::Int(3), "update rolled back");
 
+    // Moving line (2, 1) onto the existing key (1, 1) is refused when the
+    // statement is planned, as in a session.
+    let err = db
+        .execute_sql("UPDATE lineitem SET l_orderkey = 1 WHERE l_orderkey = 2")
+        .unwrap_err();
+    assert!(
+        matches!(err, tintin_engine::EngineError::UniqueViolation { .. }),
+        "{err}"
+    );
+
     // Violating update via key migration: moving a lineitem to another
     // order strands order 2.
-    db.execute_sql("UPDATE lineitem SET l_orderkey = 1 WHERE l_orderkey = 2")
+    db.execute_sql("UPDATE lineitem SET l_orderkey = 1, l_linenumber = 2 WHERE l_orderkey = 2")
         .unwrap();
     let outcome = tintin.safe_commit(&mut db, &inst).unwrap();
     assert!(
@@ -607,6 +617,23 @@ fn export_sql_is_a_portable_script() {
         .unwrap();
     fresh.execute_sql(&script).unwrap();
     assert_eq!(fresh.view_names().len(), 2);
+
+    // An aggregate assertion exports as comments only, and the comment
+    // text reads as prose: no run of spaces inside it.
+    let agg = tintin
+        .install(
+            &mut db,
+            &["CREATE ASSERTION atMostThreeLines CHECK (NOT EXISTS (
+                   SELECT l_orderkey FROM lineitem GROUP BY l_orderkey HAVING COUNT(*) > 3))"],
+        )
+        .unwrap();
+    let script = agg.export_sql(&db);
+    assert!(script.contains("aggregate assertion"), "{script}");
+    for line in script.lines() {
+        if let Some(text) = line.strip_prefix("--") {
+            assert!(!text.trim_start().contains("  "), "spaces run in `{line}`");
+        }
+    }
 }
 
 #[test]
